@@ -133,9 +133,6 @@ def normalized_first(eps):
     return (1.0 + eps * eps) / (2.0 * eps * (1.0 - eps)) * term * TWO_PI * (1.0 + eps)
 
 
-# keep the symbol-style short alias used across the shape-derivative code
-E = normalized_first
-
 _CRITICAL_POLY = (1.0, -10.0, 23.0, -12.0, 23.0, -10.0, 1.0)
 
 
@@ -145,12 +142,6 @@ def critical_poly(eps):
     for coeff in _CRITICAL_POLY:
         acc = acc * eps + coeff
     return acc
-
-
-Pi = critical_poly
-
-EPS2_PRINTED = (-3.0 + math.sqrt(13.0)) / 2.0   # where E(ε)=2π is claimed to hold
-EPS2_ACTUAL = (-3.0 + math.sqrt(17.0)) / 4.0    # where E(ε)=2π actually holds
 
 
 def _bisect(f, lo, hi, tol):

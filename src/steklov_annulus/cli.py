@@ -3,7 +3,8 @@
 Subcommands: fig1, table <1..7>, fd-check, eps0.  Each writes its rows as
 <out>/<experiment>.csv (plus an SVG for fig1) and appends a pass/fail line
 per checked row to <out>/summary.csv.  Exit status: 0 when every checked
-row is within tolerance, 1 on a tolerance breach, 2 on bad configuration.
+row is within tolerance, 1 on a tolerance breach, 2 on bad configuration or
+when the eigensolver fails.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 from . import experiments
 from .geometry import GeometryError
+from .linalg import EigensolveError
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -155,6 +157,9 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return run(args, settings)
+    except EigensolveError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (GeometryError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,9 +2,9 @@
 
 The stiffness matrix is assembled from exact element integrals of hat
 function gradients; the boundary mass matrix from exact edge integrals
-(edge-length/6 times the [[2,1],[1,2]] pattern).  The spectrum comes from
-condensing the interior unknowns (discrete Dirichlet-to-Neumann reduction)
-and solving the dense generalized problem on the boundary.
+(edge-length/6 times the [[2,1],[1,2]] pattern).  Both are sparse.  The
+spectrum comes from one sparse generalized eigensolve of the Steklov pencil
+over all vertices (see `linalg`); only the boundary traces are kept.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import AnnularDomain
-from .linalg import DenseSymMatrix, schur_condense, sym_generalized_eig
+from .linalg import steklov_eigs
 from .mesher import Mesh, build_annular_mesh
 
 
@@ -26,7 +26,7 @@ class AssemblyError(ValueError):
 @dataclass(frozen=True)
 class AssembledSystem:
     stiffness: sp.csr_matrix
-    boundary_mass: DenseSymMatrix       # over boundary dofs, in boundary_dofs order
+    boundary_mass: sp.csr_matrix        # over boundary dofs, in boundary_dofs order
     boundary_dofs: np.ndarray           # vertex indices, inner loop then outer loop
     mesh: Mesh
 
@@ -85,45 +85,43 @@ def assemble(mesh: Mesh) -> AssembledSystem:
     stiffness = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     stiffness.sum_duplicates()
 
-    boundary_dofs = np.concatenate([mesh.inner_loop, mesh.outer_loop])
-    pos = {int(d): i for i, d in enumerate(boundary_dofs)}
-    nb = len(boundary_dofs)
-    mass = np.zeros((nb, nb))
-    for loop in (mesh.inner_loop, mesh.outer_loop):
-        pts = verts[loop]
-        nxt = np.roll(loop, -1)
-        lengths = np.linalg.norm(verts[nxt] - pts, axis=1)
-        for v0, v1, ell in zip(loop, nxt, lengths):
-            i, j = pos[int(v0)], pos[int(v1)]
-            mass[i, i] += ell / 3.0
-            mass[j, j] += ell / 3.0
-            mass[i, j] += ell / 6.0
-            mass[j, i] += ell / 6.0
+    return AssembledSystem(stiffness=stiffness, boundary_mass=boundary_mass(mesh),
+                           boundary_dofs=mesh.boundary_vertices, mesh=mesh)
 
-    return AssembledSystem(stiffness=stiffness,
-                           boundary_mass=DenseSymMatrix.from_full(mass),
-                           boundary_dofs=boundary_dofs, mesh=mesh)
+
+def boundary_mass(mesh: Mesh) -> sp.csr_matrix:
+    """P1 boundary mass over the boundary loops, inner then outer.
+
+    Rows and columns are positions in `mesh.boundary_vertices`; each loop
+    edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].
+    """
+    rows, cols, vals = [], [], []
+    offset = 0
+    for loop in (mesh.inner_loop, mesh.outer_loop):
+        lengths = np.linalg.norm(mesh.vertices[np.roll(loop, -1)] - mesh.vertices[loop], axis=1)
+        i = offset + np.arange(len(loop))
+        j = offset + np.roll(np.arange(len(loop)), -1)
+        rows += [i, j, i, j]
+        cols += [i, j, j, i]
+        vals += [lengths / 3.0, lengths / 3.0, lengths / 6.0, lengths / 6.0]
+        offset += len(loop)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(offset, offset)).tocsr()
 
 
 def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
     """`count` smallest Steklov eigenpairs of the assembled system."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    s = schur_condense(system.stiffness, system.boundary_dofs)
-    pairs = sym_generalized_eig(s, system.boundary_mass, count)
-    eigenvalues = np.array([lam for lam, _ in pairs])
-    vectors = np.column_stack([vec for _, vec in pairs])
+    eigenvalues, vectors = steklov_eigs(system.stiffness, system.boundary_mass,
+                                        system.boundary_dofs, count)
 
     # deterministic sign: boundary value at θ=0 on the outer loop >= 0
     outer_start = np.nonzero(system.boundary_dofs == system.mesh.outer_loop[0])[0][0]
     signs = np.where(vectors[outer_start, :] < 0.0, -1.0, 1.0)
     vectors = vectors * signs[None, :]
 
-    mass = system.boundary_mass.to_full()
-    perimeter = float(np.sum(mass))
     return SteklovSpectrum(eigenvalues=eigenvalues, boundary_vectors=vectors,
                            boundary_dofs=system.boundary_dofs, mesh=system.mesh,
-                           polygonal_perimeter=perimeter)
+                           polygonal_perimeter=float(system.boundary_mass.sum()))
 
 
 def solve_domain(domain: AnnularDomain, n_theta: int, n_radial: int,

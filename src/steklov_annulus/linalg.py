@@ -1,115 +1,72 @@
-"""Dense symmetric kernel: Cholesky, Schur condensation, generalized eigensolve.
+"""Sparse eigensolver for the discrete Steklov pencil K·u = λ·M_∂·u.
 
-The boundary problems condensed here are at most a few thousand unknowns, so
-dense LAPACK-backed methods are sufficient.  Sparse interior solves go
-through a deterministic SuperLU factorization.
+K is the P1 stiffness matrix (positive semidefinite, constants in its
+kernel) and M_∂ the boundary mass, zero away from the boundary; neither is
+invertible.  Their sum is symmetric positive definite on a connected mesh,
+and the pencil is equivalent to
+
+    M_∂·u = μ·(K + M_∂)·u,   μ = 1/(1 + λ) ∈ (0, 1],
+
+whose largest μ belong to the smallest λ.  One sparse LU factorization of
+K + M_∂ applies its inverse inside ARPACK's Lanczos iteration, so no dense
+boundary operator is ever formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, solve_triangular
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+
+# largest accepted ‖K·v − λ·M_∂·v‖ / ((1 + λ)·‖M_∂·v‖) of a returned pair
+RESIDUAL_BOUND = 1e-8
 
 
-class NotPositiveDefiniteError(ValueError):
-    def __init__(self, pivot):
-        self.pivot = pivot
-        super().__init__(f"matrix is not positive definite (nonpositive pivot at index {pivot})")
+class EigensolveError(ValueError):
+    """The Steklov pencil could not be solved to the residual bound."""
 
 
-class SingularInteriorError(ValueError):
-    pass
+def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
+                 boundary_dofs, count: int):
+    """`count` smallest eigenpairs of K·u = λ·M_∂·u.
 
-
-@dataclass(frozen=True)
-class DenseSymMatrix:
-    """Symmetric matrix of order n in packed lower-triangular storage."""
-
-    n: int
-    packed: np.ndarray  # length n(n+1)/2, rows of the lower triangle
-
-    def __post_init__(self):
-        if self.packed.shape != (self.n * (self.n + 1) // 2,):
-            raise ValueError("packed storage has wrong length")
-        if not np.all(np.isfinite(self.packed)):
-            raise ValueError("matrix entries must be finite")
-        self.packed.setflags(write=False)
-
-    @classmethod
-    def from_full(cls, a):
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        return cls(n=n, packed=a[np.tril_indices(n)].copy())
-
-    def to_full(self):
-        a = np.zeros((self.n, self.n))
-        a[np.tril_indices(self.n)] = self.packed
-        return a + np.tril(a, -1).T
-
-
-def cholesky(a: DenseSymMatrix) -> np.ndarray:
-    """Lower factor L with L·Lᵀ = A; reports the failing pivot index."""
-    full = a.to_full()
-    n = a.n
-    lower = np.zeros((n, n))
-    for j in range(n):
-        d = full[j, j] - lower[j, :j] @ lower[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefiniteError(j)
-        lower[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1:, j] = (full[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
-def schur_condense(k: sp.spmatrix, boundary_dofs, rhs_block=512) -> DenseSymMatrix:
-    """Condense a symmetric sparse matrix onto its boundary unknowns.
-
-    Returns S = K_BB − K_BI · K_II⁻¹ · K_IB, symmetrized to packed storage.
-    For the Neumann-structure stiffness matrix the result is the discrete
-    Dirichlet-to-Neumann operator (positive semidefinite with constant
-    kernel).  Interior right-hand sides are solved in fixed-size column
-    blocks so the reduction order is deterministic.
+    boundary_mass is indexed by position in boundary_dofs.  Returns the
+    ascending eigenvalues and the boundary traces as columns, in
+    boundary_dofs order and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are
+    computed, so both copies of a double eigenvalue at the end of the
+    requested range come back.
     """
-    k = k.tocsr()
     boundary_dofs = np.asarray(boundary_dofs, dtype=np.int64)
-    n = k.shape[0]
-    interior = np.setdiff1d(np.arange(n), boundary_dofs)
-    k_bb = k[boundary_dofs][:, boundary_dofs].toarray()
-    if interior.size == 0:
-        return DenseSymMatrix.from_full(0.5 * (k_bb + k_bb.T))
-
-    k_ii = k[interior][:, interior].tocsc()
-    k_ib = k[interior][:, boundary_dofs].toarray()
+    n, nb = stiffness.shape[0], len(boundary_dofs)
+    if not 1 <= count < nb:
+        raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
+    mb = boundary_mass.tocoo()
+    mass = sp.csc_matrix((mb.data, (boundary_dofs[mb.row], boundary_dofs[mb.col])),
+                         shape=(n, n))
+    shifted = (stiffness + mass).tocsc()
     try:
-        lu = splu(k_ii, permc_spec="COLAMD")
+        # K + M_∂ is SPD: a symmetric ordering and diagonal pivots are stable
+        # and fill less than the default column ordering with row pivoting
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise SingularInteriorError(f"interior block factorization failed: {exc}") from exc
-    x = np.empty_like(k_ib)
-    for c0 in range(0, k_ib.shape[1], rhs_block):
-        x[:, c0:c0 + rhs_block] = lu.solve(k_ib[:, c0:c0 + rhs_block])
-    s = k_bb - k[boundary_dofs][:, interior] @ x
-    return DenseSymMatrix.from_full(0.5 * (s + s.T))
+        raise EigensolveError(f"K + M_∂ factorization failed: {exc}") from exc
+    minv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)  # fixed, so runs repeat exactly
+    try:
+        mu, vectors = eigsh(mass, count + 1, M=shifted, Minv=minv, which="LA", v0=v0)
+    except ArpackError as exc:
+        raise EigensolveError(f"Lanczos iteration failed: {exc}") from exc
 
-
-def sym_generalized_eig(s: DenseSymMatrix, m: DenseSymMatrix, count: int):
-    """`count` smallest eigenpairs of S·v = λ·M·v, M symmetric positive definite.
-
-    Reduction via M = L·Lᵀ to a standard symmetric problem; eigenvectors are
-    returned M-orthonormal, eigenvalues ascending.
-    """
-    if s.n != m.n:
-        raise ValueError("operand orders differ")
-    if count < 1 or count > s.n:
-        raise ValueError(f"count must be in [1, {s.n}]")
-    lower = cholesky(m)  # raises NotPositiveDefiniteError if M is not SPD
-    sl = solve_triangular(lower, s.to_full(), lower=True)
-    c = solve_triangular(lower, sl.T, lower=True)
-    c = 0.5 * (c + c.T)
-    w, y = eigh(c, subset_by_index=[0, count - 1])
-    v = solve_triangular(lower.T, y, lower=False)
-    return [(float(w[i]), v[:, i].copy()) for i in range(count)]
+    order = np.argsort(-mu)[:count]
+    eigenvalues = 1.0 / mu[order] - 1.0
+    vectors = vectors[:, order]
+    mv = mass @ vectors
+    scale = np.sqrt(np.einsum("ij,ij->j", vectors, mv))
+    vectors, mv = vectors / scale, mv / scale
+    residual = (np.linalg.norm(stiffness @ vectors - mv * eigenvalues, axis=0)
+                / ((1.0 + eigenvalues) * np.linalg.norm(mv, axis=0)))
+    worst = float(np.max(residual))
+    if not worst <= RESIDUAL_BOUND:  # also catches NaN
+        raise EigensolveError(f"eigenpair residual {worst:.3g} exceeds {RESIDUAL_BOUND:g}")
+    return eigenvalues, vectors[boundary_dofs, :]

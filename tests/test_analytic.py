@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from steklov_annulus import analytic
-from steklov_annulus.analytic import (EPS2_ACTUAL, EPS2_PRINTED, AnalyticError,
-                                      CoeffPair, coeff_system_residual,
-                                      critical_poly, find_eps0,
-                                      normalized_first, solve_coeffs,
-                                      steklov_eig)
+from steklov_annulus.analytic import (AnalyticError, CoeffPair, coeff_system_residual,
+                                      critical_poly, find_eps0, normalized_first,
+                                      solve_coeffs, steklov_eig)
 
 TWO_PI = 2.0 * math.pi
+EPS2_PRINTED = (-3.0 + math.sqrt(13.0)) / 2.0   # where E(ε)=2π is claimed to hold
+EPS2_ACTUAL = (-3.0 + math.sqrt(17.0)) / 4.0    # where E(ε)=2π actually holds
 
 
 class TestSpectrum:

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from steklov_annulus import cli, experiments
+from steklov_annulus import cli, experiments, linalg
 
 
 class TestConfig:
@@ -69,6 +71,16 @@ class TestExitCodes:
         assert "[FAIL]" in capsys.readouterr().out
         summary = (tmp_path / "summary.csv").read_text()
         assert "fail" in summary
+
+    def test_solver_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        code = cli.main(["--out", str(tmp_path), "--ntheta", "32", "--nr", "4",
+                         "table", "1"])
+        assert code == cli.EXIT_CONFIG
+        assert "solver error" in capsys.readouterr().err
 
 
 class TestOutputs:

@@ -50,8 +50,26 @@ class TestAssembly:
     def test_boundary_mass_total_is_polygonal_perimeter(self):
         mesh = build_annular_mesh(concentric(0.3), 256, 4)
         system = assemble(mesh)
-        total = system.boundary_mass.to_full().sum()
+        total = system.boundary_mass.sum()
         assert total == pytest.approx(TWO_PI * 1.3, rel=1e-4)
+
+    def test_boundary_mass_matches_edge_loop(self):
+        """The vectorized boundary mass equals the per-edge accumulation."""
+        mesh = build_annular_mesh(
+            AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
+                          inner=Circle(radius=0.3, center=(0.2, -0.1), orientation=INNER)),
+            32, 4)
+        dofs = mesh.boundary_vertices
+        pos = {int(d): i for i, d in enumerate(dofs)}
+        ref = np.zeros((len(dofs), len(dofs)))
+        for loop in (mesh.inner_loop, mesh.outer_loop):
+            for v0, v1 in zip(loop, np.roll(loop, -1)):
+                ell = np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0])
+                i, j = pos[int(v0)], pos[int(v1)]
+                ref[[i, j], [i, j]] += ell / 3.0
+                ref[[i, j], [j, i]] += ell / 6.0
+        np.testing.assert_allclose(assemble(mesh).boundary_mass.toarray(), ref,
+                                   rtol=1e-15, atol=0.0)
 
     def test_boundary_dofs_order(self):
         mesh = build_annular_mesh(concentric(0.3), 32, 4)

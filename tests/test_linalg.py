@@ -2,122 +2,131 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from steklov_annulus.linalg import (DenseSymMatrix, NotPositiveDefiniteError,
-                                    SingularInteriorError, cholesky,
-                                    schur_condense, sym_generalized_eig)
-
-
-def random_spd(n, rng, shift=1.0):
-    a = rng.standard_normal((n, n))
-    return a @ a.T + shift * np.eye(n)
+from steklov_annulus import linalg
+from steklov_annulus.fem import assemble, boundary_mass, solve_domain
+from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
+from steklov_annulus.linalg import EigensolveError, steklov_eigs
+from steklov_annulus.mesher import build_annular_mesh
 
 
-class TestDenseSymMatrix:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        a = random_spd(7, rng)
-        m = DenseSymMatrix.from_full(a)
-        np.testing.assert_allclose(m.to_full(), a, atol=1e-15)
-
-    def test_wrong_packed_length_rejected(self):
-        with pytest.raises(ValueError):
-            DenseSymMatrix(n=3, packed=np.zeros(5))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            DenseSymMatrix(n=2, packed=np.array([1.0, np.nan, 1.0]))
+def annulus(radius, center=(0.0, 0.0)):
+    return AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
+                         inner=Circle(radius=radius, center=center, orientation=INNER))
 
 
-class TestCholesky:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(1)
-        a = random_spd(10, rng)
-        lower = cholesky(DenseSymMatrix.from_full(a))
-        np.testing.assert_allclose(lower, scipy.linalg.cholesky(a, lower=True),
-                                   rtol=1e-10, atol=1e-12)
+def dense_dtn(system):
+    """The boundary Dirichlet-to-Neumann matrix S = K_BB − K_BI·K_II⁻¹·K_IB,
+    densely, rows and columns in boundary_dofs order."""
+    k = system.stiffness.toarray()
+    b = system.boundary_dofs
+    i = np.setdiff1d(np.arange(k.shape[0]), b)
+    s = k[np.ix_(b, b)] - k[np.ix_(b, i)] @ np.linalg.solve(k[np.ix_(i, i)], k[np.ix_(i, b)])
+    return 0.5 * (s + s.T)
 
-    def test_reports_failing_pivot(self):
-        a = np.diag([1.0, 2.0, -1.0, 3.0])
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky(DenseSymMatrix.from_full(a))
-        assert exc.value.pivot == 2
+
+def dense_reference(system):
+    """Eigenvalues of S against the boundary mass, densely."""
+    return scipy.linalg.eigh(dense_dtn(system), system.boundary_mass.toarray(),
+                             eigvals_only=True)
+
+
+def negative_inertia(a):
+    """Number of negative eigenvalues of the symmetric matrix a, from the
+    block-diagonal factor of its LDLᵀ factorization (Sylvester)."""
+    _, d, _ = scipy.linalg.ldl(a)
+    return int(np.sum(np.linalg.eigvalsh(d) < 0.0))
+
+
+@pytest.fixture(scope="module")
+def eccentric():
+    return assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 32, 4))
 
 
 class TestSchurCondense:
-    def test_matches_dense_formula(self):
-        rng = np.random.default_rng(2)
-        n, boundary = 30, np.array([0, 3, 7, 8, 15, 29])
-        a = random_spd(n, rng, shift=float(n))
-        k = sp.csr_matrix(a)
-        s = schur_condense(k, boundary).to_full()
-        interior = np.setdiff1d(np.arange(n), boundary)
-        ref = (a[np.ix_(boundary, boundary)]
-               - a[np.ix_(boundary, interior)]
-               @ np.linalg.solve(a[np.ix_(interior, interior)], a[np.ix_(interior, boundary)]))
-        np.testing.assert_allclose(s, ref, rtol=1e-10, atol=1e-12)
-
-    def test_empty_interior_returns_block(self):
-        rng = np.random.default_rng(3)
-        a = random_spd(5, rng)
-        s = schur_condense(sp.csr_matrix(a), np.arange(5)).to_full()
-        np.testing.assert_allclose(s, a, atol=1e-14)
-
-    def test_block_size_does_not_change_result(self):
-        rng = np.random.default_rng(4)
-        a = random_spd(40, rng, shift=40.0)
-        boundary = np.arange(0, 40, 3)
-        s1 = schur_condense(sp.csr_matrix(a), boundary, rhs_block=2).to_full()
-        s2 = schur_condense(sp.csr_matrix(a), boundary, rhs_block=512).to_full()
-        np.testing.assert_allclose(s1, s2, rtol=1e-12, atol=1e-14)
-
-    def test_singular_interior_reported(self):
-        a = np.zeros((3, 3))
-        a[0, 0] = 1.0
-        with pytest.raises(SingularInteriorError):
-            schur_condense(sp.csr_matrix(a), np.array([0]))
+    def test_matches_dense_formula(self, eccentric):
+        """The traces are eigenvectors of the Schur complement of the
+        interior, formed densely: S·v = λ·M_∂·v."""
+        lams, vecs = steklov_eigs(eccentric.stiffness, eccentric.boundary_mass,
+                                  eccentric.boundary_dofs, 6)
+        s = dense_dtn(eccentric)
+        m = eccentric.boundary_mass.toarray()
+        np.testing.assert_allclose(s @ vecs, m @ vecs @ np.diag(lams),
+                                   rtol=0.0, atol=1e-10 * np.abs(s).max())
 
 
 class TestGeneralizedEig:
-    def test_determinant_scan_oracle(self):
-        """Returned eigenvalues are roots of det(S − λM) and vectors are
-        M-orthonormal, for a random symmetric pair with SPD M."""
-        rng = np.random.default_rng(5)
-        s_full = random_spd(6, rng) - 3.0 * np.eye(6)  # indefinite is fine
-        m_full = random_spd(6, rng)
-        pairs = sym_generalized_eig(DenseSymMatrix.from_full(s_full),
-                                    DenseSymMatrix.from_full(m_full), 6)
-        lams = np.array([lam for lam, _ in pairs])
-        vecs = np.column_stack([v for _, v in pairs])
-        # oracle 1: determinant vanishes at each eigenvalue (scaled)
-        scale = abs(np.linalg.det(s_full - (lams[0] - 1.0) * m_full))
-        for lam in lams:
-            assert abs(np.linalg.det(s_full - lam * m_full)) < 1e-8 * scale
-        # oracle 2: residual and M-orthonormality
-        np.testing.assert_allclose(s_full @ vecs, m_full @ vecs @ np.diag(lams),
-                                   atol=1e-9)
-        np.testing.assert_allclose(vecs.T @ m_full @ vecs, np.eye(6), atol=1e-10)
-        # oracle 3: agrees with LAPACK's generalized driver
-        ref = scipy.linalg.eigh(s_full, m_full, eigvals_only=True)
-        np.testing.assert_allclose(lams, ref, rtol=1e-10, atol=1e-12)
+    def test_determinant_scan_oracle(self, eccentric):
+        """Returned eigenvalues are roots of det(S − λM_∂): its sign flips
+        across each of them, and S − λM_∂ has exactly j negative eigenvalues
+        just above the j-th, so no eigenvalue below is skipped."""
+        lams, _ = steklov_eigs(eccentric.stiffness, eccentric.boundary_mass,
+                               eccentric.boundary_dofs, 6)
+        s = dense_dtn(eccentric)
+        m = eccentric.boundary_mass.toarray()
+        for j, lam in enumerate(lams, start=1):
+            delta = 1e-8 * (1.0 + lam)
+            below, _ = np.linalg.slogdet(s - (lam - delta) * m)
+            above, _ = np.linalg.slogdet(s - (lam + delta) * m)
+            assert below * above < 0.0
+            assert negative_inertia(s - (lam + delta) * m) == j
 
-    def test_subset_is_smallest(self):
-        rng = np.random.default_rng(6)
-        s_full, m_full = random_spd(8, rng), random_spd(8, rng)
-        pairs = sym_generalized_eig(DenseSymMatrix.from_full(s_full),
-                                    DenseSymMatrix.from_full(m_full), 3)
-        lams = [lam for lam, _ in pairs]
-        ref = scipy.linalg.eigh(s_full, m_full, eigvals_only=True)
-        np.testing.assert_allclose(lams, ref[:3], rtol=1e-10)
-        assert lams == sorted(lams)
+    def test_subset_is_smallest(self, eccentric):
+        """The `count` smallest eigenvalues of the pencil, ascending, equal
+        those of the dense condensed problem."""
+        lams, vecs = steklov_eigs(eccentric.stiffness, eccentric.boundary_mass,
+                                  eccentric.boundary_dofs, 6)
+        ref = dense_reference(eccentric)
+        assert abs(lams[0]) < 1e-10
+        np.testing.assert_allclose(lams[1:], ref[1:6], rtol=1e-10)
+        assert np.all(np.diff(lams) > 0)
+        np.testing.assert_allclose(vecs.T @ eccentric.boundary_mass @ vecs, np.eye(6),
+                                   atol=1e-10)
 
-    def test_indefinite_mass_rejected(self):
-        s = DenseSymMatrix.from_full(np.eye(3))
-        m = DenseSymMatrix.from_full(np.diag([1.0, -1.0, 1.0]))
-        with pytest.raises(NotPositiveDefiniteError):
-            sym_generalized_eig(s, m, 1)
+    def test_concentric_double_eigenvalue(self):
+        """Both copies of the double λ₁ come back, trace-normalized and with
+        the sign rule applied."""
+        spec = solve_domain(annulus(0.3), 64, 8, count=3)
+        lam1, lam2 = spec.eigenvalues[1:3]
+        assert abs(lam2 - lam1) < 1e-10 * lam1
+        v = spec.boundary_vectors
+        np.testing.assert_allclose(v.T @ boundary_mass(spec.mesh) @ v, np.eye(3), atol=1e-10)
+        outer_start = np.nonzero(spec.boundary_dofs == spec.mesh.outer_loop[0])[0][0]
+        assert np.all(v[outer_start, :] >= 0.0)
 
-    def test_count_validation(self):
-        s = DenseSymMatrix.from_full(np.eye(3))
-        with pytest.raises(ValueError):
-            sym_generalized_eig(s, s, 4)
+    def test_count_validation(self, eccentric):
+        nb = len(eccentric.boundary_dofs)
+        for count in (0, nb):
+            with pytest.raises(ValueError):
+                steklov_eigs(eccentric.stiffness, eccentric.boundary_mass,
+                             eccentric.boundary_dofs, count)
+
+
+class TestSolverFailure:
+    def test_singular_pencil_raises(self):
+        # vertex 2 is not coupled to anything, so K + M_∂ is singular
+        k = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(EigensolveError):
+            steklov_eigs(k, sp.identity(2, format="csr"), [0, 1], 1)
+
+    def test_no_convergence_raises(self, eccentric, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        with pytest.raises(EigensolveError):
+            steklov_eigs(eccentric.stiffness, eccentric.boundary_mass,
+                         eccentric.boundary_dofs, 3)
+
+    def test_inaccurate_pair_rejected(self, eccentric, monkeypatch):
+        real_eigsh = linalg.eigsh
+
+        def perturbed(*args, **kwargs):
+            mu, vecs = real_eigsh(*args, **kwargs)
+            return mu * (1.0 + 1e-6), vecs
+
+        monkeypatch.setattr(linalg, "eigsh", perturbed)
+        with pytest.raises(EigensolveError, match="residual"):
+            steklov_eigs(eccentric.stiffness, eccentric.boundary_mass,
+                         eccentric.boundary_dofs, 3)
