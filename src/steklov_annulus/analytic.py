@@ -137,31 +137,8 @@ _CRITICAL_POLY = (1.0, -10.0, 23.0, -12.0, 23.0, -10.0, 1.0)
 
 
 def critical_poly(eps):
-    """Horner evaluation of ε⁶ − 10ε⁵ + 23ε⁴ − 12ε³ + 23ε² − 10ε + 1."""
-    acc = 0.0
-    for coeff in _CRITICAL_POLY:
-        acc = acc * eps + coeff
-    return acc
-
-
-def _bisect(f, lo, hi, tol):
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise AnalyticError("bisection bracket does not straddle a sign change")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    """ε⁶ − 10ε⁵ + 23ε⁴ − 12ε³ + 23ε² − 10ε + 1 by Horner's rule."""
+    return np.polyval(_CRITICAL_POLY, eps)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -185,7 +162,7 @@ def _golden_max(f, lo, hi, tol):
 
 @dataclass(frozen=True)
 class CriticalRadius:
-    root: float          # first sign-change root of the sextic in (0, 1)
+    root: float          # smallest real root of the sextic in (0, 1)
     argmax: float        # golden-section maximizer of E on (0, 1)
     slope_at_root: float  # central-difference dE/dε at the root
 
@@ -193,19 +170,14 @@ class CriticalRadius:
 def find_eps0() -> CriticalRadius:
     """Locate the critical inner radius ε₀ two independent ways.
 
-    Bisects the sextic at its first sign change in (0, 1) to 1e−12 and
-    maximizes E by golden section to 1e−10; raises if the two disagree by
-    more than 1e−5.  (The sextic is palindromic and has a second root near
-    0.3279 whose reciprocal pairing makes it irrelevant here; the first
-    sign change is the critical radius.)
+    Takes the smallest real root in (0, 1) of the sextic from the
+    eigenvalues of its companion matrix (`numpy.roots`) and maximizes E by
+    golden section to 1e−10; raises if the two disagree by more than 1e−5.
+    (The sextic is palindromic: its real roots come in reciprocal pairs,
+    and the second root in (0, 1), near 0.3279, is not a maximizer of E.)
     """
-    grid = np.arange(1e-3, 1.0, 1e-3)
-    vals = critical_poly(grid)
-    sign_change = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    if sign_change.size == 0:
-        raise AnalyticError("no sign change of the critical polynomial in (0, 1)")
-    i = int(sign_change[0])
-    root = _bisect(critical_poly, grid[i], grid[i + 1], 1e-12)
+    roots = np.roots(_CRITICAL_POLY)
+    root = float(min(r.real for r in roots if r.imag == 0.0 and 0.0 < r.real < 1.0))
     argmax = _golden_max(normalized_first, 1e-3, 1.0 - 1e-3, 1e-10)
     if abs(root - argmax) > 1e-5:
         raise AnalyticError(

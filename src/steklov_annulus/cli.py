@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .geometry import GeometryError
 from .linalg import EigensolveError
 
 EXIT_OK = 0
@@ -118,15 +117,14 @@ def run(args, settings):
             computed=result["E_at_eps0"], reference=None, tolerance=None)]
     elif args.command == "table":
         if args.number == 7:
-            rows = experiments.run_perturbed_table(
-                ntheta, nr, tolerance=tol or experiments.PERTURBED_TOLERANCE, jobs=jobs)
+            rows = experiments.run_perturbed_table(ntheta, nr, tolerance=tol, jobs=jobs)
         else:
             rows = experiments.run_translation_table(
                 args.number, ntheta, nr, tolerance=tol, jobs=jobs)
         (out_dir / f"table{args.number}.csv").write_text(experiments.rows_to_csv(rows))
     elif args.command == "fd-check":
         rows = experiments.run_fd_check(n_theta=min(ntheta, 256), n_radial=min(nr, 24),
-                                        tolerance=tol or 0.02, jobs=jobs)
+                                        tolerance=tol, jobs=jobs)
         (out_dir / "fd-check.csv").write_text(experiments.rows_to_csv(rows))
     else:  # eps0
         report = experiments.run_eps0()
@@ -160,7 +158,7 @@ def main(argv=None):
     except EigensolveError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GeometryError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -18,6 +18,7 @@ from .geometry import (INNER, OUTER, TWO_PI, AnnularDomain, Circle,
                        CosinePerturbedCircle, PerturbationField,
                        amplitude_for_perimeter)
 from .fem import solve_domain
+from .mesher import radial_grading
 
 EPS0 = 0.146721  # critical inner radius, 6 digits
 
@@ -80,10 +81,6 @@ class ResultRow:
         return self.deviation <= self.tolerance
 
 
-def _grading_for(eps):
-    return 1.15 if eps < 0.15 else 1.0
-
-
 def translation_centers(table):
     eps, direction = TRANSLATION_TABLES[table]
     if direction == "x-axis":
@@ -103,7 +100,7 @@ def _solve_translation_row(args):
     eps, center, n_theta, n_radial = args
     domain = AnnularDomain(outer=Circle(orientation=OUTER, radius=1.0),
                            inner=Circle(center=center, orientation=INNER, radius=eps))
-    spec = solve_domain(domain, n_theta, n_radial, count=2, grading=_grading_for(eps))
+    spec = solve_domain(domain, n_theta, n_radial, count=2, grading=radial_grading(eps))
     return float(spec.eigenvalues[1]) * TWO_PI * (1.0 + eps)
 
 
@@ -111,7 +108,7 @@ def _solve_perturbed_row(args):
     freq, amplitude, n_theta, n_radial = args
     inner = CosinePerturbedCircle(a=amplitude, k=freq, b=EPS0, orientation=INNER)
     domain = AnnularDomain(outer=Circle(orientation=OUTER, radius=1.0), inner=inner)
-    spec = solve_domain(domain, n_theta, n_radial, count=2, grading=1.15)
+    spec = solve_domain(domain, n_theta, n_radial, count=2, grading=radial_grading(EPS0))
     # the stated normalization constant, not the true perimeter
     value = float(spec.eigenvalues[1]) * TWO_PI * (1.0 + EPS0)
     return value, inner.arc_length()
@@ -143,9 +140,14 @@ def run_translation_table(table, n_theta=DEFAULT_NTHETA, n_radial=DEFAULT_NR,
 
 
 def run_perturbed_table(n_theta=DEFAULT_NTHETA, n_radial=DEFAULT_NR,
-                        tolerance=PERTURBED_TOLERANCE, jobs=1, freqs=None):
+                        tolerance=None, jobs=1, freqs=None):
     """ResultRows for the cosine-perturbed inner boundaries (plus the true
-    inner perimeter of each domain as an extra descriptor field)."""
+    inner perimeter of each domain as an extra descriptor field).
+
+    tolerance=None means PERTURBED_TOLERANCE.
+    """
+    if tolerance is None:
+        tolerance = PERTURBED_TOLERANCE
     freqs = sorted(PERTURBED_TABLE if freqs is None else freqs)
     arglist = []
     for freq in freqs:
@@ -172,12 +174,15 @@ def run_fig1(n_points=500, lo=0.01, hi=0.95):
 
 
 def run_fd_check(eps_values=(0.1, EPS0, 0.3), n_theta=256, n_radial=24,
-                 tolerance=0.02, jobs=1):
+                 tolerance=None, jobs=1):
     """Consistency-triangle rows: three derivative routes per ε.
 
-    At the critical radius all routes are near zero, so an absolute bound
-    on each route replaces the relative pairwise comparison there.
+    tolerance bounds the relative pairwise mismatch (None means 0.02).  At
+    the critical radius all routes are near zero, so an absolute bound on
+    each route replaces the relative pairwise comparison there.
     """
+    if tolerance is None:
+        tolerance = 0.02
     eps0 = analytic.find_eps0().root
     rows = []
     for eps in eps_values:

@@ -37,7 +37,10 @@ class SteklovSpectrum:
 
     Eigenvectors are columns of boundary_vectors, in boundary_dofs order and
     normalized to unit discrete boundary L² norm; sign fixed so the trace at
-    θ=0 on the outer loop is nonnegative.
+    θ=0 on the outer loop is nonnegative.  The sign rule pins simple
+    eigenpairs only: inside a multiple eigenvalue (boundary_vectors[:, 1:3]
+    on a concentric annulus) the basis depends on the eigensolver and its
+    start vector.
     """
 
     eigenvalues: np.ndarray
@@ -49,23 +52,6 @@ class SteklovSpectrum:
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
         self.boundary_vectors.setflags(write=False)
-
-    def trace_on(self, loop_indices):
-        """Eigenvector traces restricted to the given loop's vertex indices."""
-        index = {int(d): i for i, d in enumerate(self.boundary_dofs)}
-        rows = [index[int(v)] for v in loop_indices]
-        return self.boundary_vectors[rows, :]
-
-
-def element_stiffness(coords):
-    """Exact P1 stiffness of a single triangle given its (3, 2) coordinates."""
-    x, y = coords[:, 0], coords[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area2 = x @ b
-    if area2 <= 0:
-        raise AssemblyError("degenerate or inverted triangle")
-    return (np.outer(b, b) + np.outer(c, c)) / (2.0 * area2)
 
 
 def assemble(mesh: Mesh) -> AssembledSystem:
@@ -114,8 +100,9 @@ def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
     eigenvalues, vectors = steklov_eigs(system.stiffness, system.boundary_mass,
                                         system.boundary_dofs, count)
 
-    # deterministic sign: boundary value at θ=0 on the outer loop >= 0
-    outer_start = np.nonzero(system.boundary_dofs == system.mesh.outer_loop[0])[0][0]
+    # deterministic sign: boundary value at θ=0 on the outer loop >= 0; the
+    # outer loop follows the inner one in boundary_dofs
+    outer_start = len(system.mesh.inner_loop)
     signs = np.where(vectors[outer_start, :] < 0.0, -1.0, 1.0)
     vectors = vectors * signs[None, :]
 
@@ -129,13 +116,6 @@ def solve_domain(domain: AnnularDomain, n_theta: int, n_radial: int,
     """Mesh, assemble and solve in one call."""
     mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
     return solve_spectrum(assemble(mesh), count)
-
-
-def normalized_first(domain: AnnularDomain, n_theta: int, n_radial: int,
-                     grading: float = 1.0) -> float:
-    """Discrete λ₁ times the exact (non-polygonal) total perimeter."""
-    spectrum = solve_domain(domain, n_theta, n_radial, count=2, grading=grading)
-    return float(spectrum.eigenvalues[1]) * domain.perimeter()
 
 
 def convergence_study(domain: AnnularDomain, resolutions, grading: float = 1.0):

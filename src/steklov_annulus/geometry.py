@@ -247,25 +247,7 @@ class PerturbationField:
         return self.radial + self.oscillatory_at(theta)
 
 
-def decompose_field(samples, n_modes, target=INNER):
-    """Split uniform-grid samples of V_n into radial and oscillatory parts.
-
-    Requires at least 2·n_modes + 2 samples so modes 1..n_modes are
-    alias-free.  The radial part is the sample mean; the oscillatory part is
-    the Fourier projection onto modes 1..n_modes.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    if n < 2 * n_modes + 2:
-        raise GeometryError(f"need at least {2 * n_modes + 2} samples for {n_modes} modes, got {n}")
-    spec = np.fft.rfft(samples) / n
-    radial = float(spec[0].real)
-    cos_c = tuple(2.0 * spec[m].real for m in range(1, n_modes + 1))
-    sin_c = tuple(-2.0 * spec[m].imag for m in range(1, n_modes + 1))
-    return PerturbationField(radial=radial, cos_coeffs=cos_c, sin_coeffs=sin_c, target=target)
-
-
-# Plain-text serialization: one record per curve, key=value tokens.
+# Plain-text curve records: one record per curve, key=value tokens.
 
 def curve_to_record(curve):
     cx, cy = curve.center
@@ -276,29 +258,3 @@ def curve_to_record(curve):
                 f"b={curve.b:.17g} orientation={curve.orientation}")
     raise GeometryError(f"cannot serialize {type(curve).__name__}")
 
-
-def curve_from_record(record):
-    fields = {}
-    for token in record.split():
-        key, _, value = token.partition("=")
-        if not _:
-            raise GeometryError(f"malformed token {token!r}")
-        fields[key] = value
-    try:
-        kind = fields.pop("kind")
-        cx, cy = (float(v) for v in fields.pop("center").split(","))
-        orientation = fields.pop("orientation")
-        if kind == "circle":
-            curve = Circle(center=(cx, cy), orientation=orientation,
-                           radius=float(fields.pop("radius")))
-        elif kind == "cosine":
-            curve = CosinePerturbedCircle(center=(cx, cy), orientation=orientation,
-                                          a=float(fields.pop("a")), k=int(fields.pop("k")),
-                                          b=float(fields.pop("b")))
-        else:
-            raise GeometryError(f"unknown curve kind {kind!r}")
-    except KeyError as exc:
-        raise GeometryError(f"missing field {exc} in curve record") from exc
-    if fields:
-        raise GeometryError(f"unknown fields in curve record: {sorted(fields)}")
-    return curve

@@ -47,6 +47,13 @@ class Mesh:
         return np.concatenate([self.inner_loop, self.outer_loop])
 
 
+def radial_grading(inner_radius):
+    """Grading the tables use for a hole of this radius: geometric layers
+    around holes smaller than 0.15, to resolve the thin-hole boundary layer;
+    uniform layers otherwise."""
+    return 1.15 if inner_radius < 0.15 else 1.0
+
+
 def _radial_fractions(n_radial, grading):
     """Blend fractions s_0=0 .. s_{N_r}=1; layer widths grow geometrically
     away from the inner boundary when grading > 1."""
@@ -138,11 +145,3 @@ def mesh_metrics(mesh: Mesh) -> dict:
         "boundary_length_outer": _loop_length(mesh.vertices, mesh.outer_loop),
     }
 
-
-def export_mesh(mesh: Mesh) -> str:
-    """Plain-text dump: 'v x y', 't i j k' and 'b loop idx θ' lines."""
-    lines = [f"v {x:.17g} {y:.17g}" for x, y in mesh.vertices]
-    lines += [f"t {i} {j} {k}" for i, j, k in mesh.triangles]
-    for name, loop in (("inner", mesh.inner_loop), ("outer", mesh.outer_loop)):
-        lines += [f"b {name} {idx} {th:.17g}" for idx, th in zip(loop, mesh.loop_theta)]
-    return "\n".join(lines) + "\n"

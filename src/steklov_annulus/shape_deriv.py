@@ -24,6 +24,7 @@ from . import analytic
 from .geometry import (INNER, OUTER, TWO_PI, AnnularDomain, BoundaryCurve, Circle,
                        CosinePerturbedCircle, PerturbationField)
 from .fem import boundary_mass, solve_domain
+from .mesher import radial_grading
 
 
 class ShapeDerivError(ValueError):
@@ -315,9 +316,8 @@ def consistency_triangle(eps: float, n_theta: int = 256, n_radial: int = 24,
 
     domain = AnnularDomain(outer=Circle(orientation=OUTER, radius=1.0),
                            inner=Circle(orientation=INNER, radius=eps))
-    grading = 1.15 if eps < 0.15 else 1.0
     fd = fd_branch_oracle(domain, field, step, n_theta=n_theta,
-                          n_radial=n_radial, grading=grading)
+                          n_radial=n_radial, grading=radial_grading(eps))
     fd_route = float(np.mean(fd.normalized_derivs))
 
     scale = max(abs(analytic_route), abs(matrix_route), abs(fd_route), 1e-300)

@@ -15,6 +15,7 @@ import pytest
 
 from steklov_annulus import analytic, experiments, fem, shape_deriv
 from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle, PerturbationField
+from steklov_annulus.mesher import radial_grading
 
 TWO_PI = 2.0 * math.pi
 EPS2 = (-3.0 + math.sqrt(17.0)) / 4.0  # root of 2ε² + 3ε − 1 = 0, see the docstring
@@ -57,8 +58,7 @@ def test_criterion_2_critical_radius():
 
 @pytest.mark.parametrize("eps", [0.08, 0.146721, 0.3, 0.5])
 def test_criterion_3_fem_vs_closed_form(eps):
-    grading = 1.15 if eps < 0.15 else 1.0
-    spec = fem.solve_domain(concentric(eps), NTHETA, NR, count=3, grading=grading)
+    spec = fem.solve_domain(concentric(eps), NTHETA, NR, count=3, grading=radial_grading(eps))
     lam_exact = analytic.steklov_eig(eps, 1, "minus")
     assert abs(spec.eigenvalues[1] - lam_exact) <= 5e-3 * lam_exact
     gap = abs(spec.eigenvalues[2] - spec.eigenvalues[1])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -56,6 +61,13 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    def test_out_path_is_a_file_is_exit_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = cli.main(["--out", str(taken), "eps0"])
+        assert code == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
     def test_eps0_passes(self, tmp_path, capsys):
         code = cli.main(["--out", str(tmp_path), "eps0"])
         assert code == cli.EXIT_OK
@@ -108,3 +120,32 @@ class TestOutputs:
         cli.main(["--out", str(tmp_path), "eps0"])
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 3  # one header, two rows
+
+
+class TestDefaultTolerances:
+    """Without --tolerance each runner applies its own default."""
+
+    def test_table7_default(self, tmp_path, capsys):
+        cli.main(["--out", str(tmp_path), "--ntheta", "32", "--nr", "4", "table", "7"])
+        lines = (tmp_path / "table7.csv").read_text().splitlines()[1:]
+        assert len(lines) == 4
+        assert all(line.split(",")[-2] == f"{experiments.PERTURBED_TOLERANCE:g}" for line in lines)
+
+    def test_fd_check_default(self, tmp_path, capsys):
+        cli.main(["--out", str(tmp_path), "--ntheta", "32", "--nr", "4", "fd-check"])
+        lines = (tmp_path / "fd-check.csv").read_text().splitlines()[1:]
+        # ε = 0.1 and 0.3 use the relative bound, the critical radius an absolute one
+        assert [line.split(",")[-2] for line in lines] == ["0.02", "0.001", "0.02"]
+
+
+def test_import_leaves_out_scipy_optimize_and_integrate():
+    """Importing the CLI stays cheap: scipy.optimize alone costs about 0.4 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = ("import sys, steklov_annulus.cli, steklov_annulus.experiments; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 
 from steklov_annulus import analytic
 from steklov_annulus.fem import (AssemblyError, assemble, convergence_study,
-                                 element_stiffness, normalized_first,
                                  solve_domain, solve_spectrum)
 from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
-from steklov_annulus.mesher import build_annular_mesh
+from steklov_annulus.mesher import build_annular_mesh, radial_grading
 
 TWO_PI = 2.0 * math.pi
 
@@ -18,29 +18,36 @@ def concentric(eps):
                          inner=Circle(radius=eps, orientation=INNER))
 
 
-class TestElementStiffness:
-    def test_reference_triangle(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        ke = element_stiffness(coords)
-        ref = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-        np.testing.assert_allclose(ke, ref, atol=1e-14)
+def eccentric_mesh():
+    return build_annular_mesh(
+        AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
+                      inner=Circle(radius=0.3, center=(0.2, -0.1), orientation=INNER)),
+        32, 4)
 
-    def test_constant_in_kernel(self):
-        rng = np.random.default_rng(7)
-        coords = rng.standard_normal((3, 2))
-        u, v = coords[1] - coords[0], coords[2] - coords[0]
-        if u[0] * v[1] - u[1] * v[0] < 0:
-            coords = coords[[0, 2, 1]]
-        ke = element_stiffness(coords)
-        np.testing.assert_allclose(ke @ np.ones(3), 0.0, atol=1e-13)
 
-    def test_inverted_triangle_rejected(self):
-        coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(AssemblyError):
-            element_stiffness(coords)
+def shoelace(points):
+    x, y = points[:, 0], points[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 class TestAssembly:
+    def test_stiffness_integrates_linear_gradients(self):
+        """The P1 functions x and y have orthonormal unit gradients, so their
+        stiffness products are the mesh area and zero."""
+        mesh = eccentric_mesh()
+        k = assemble(mesh).stiffness
+        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        area = shoelace(mesh.vertices[mesh.outer_loop]) - shoelace(mesh.vertices[mesh.inner_loop])
+        assert abs(x @ k @ x - area) < 1e-13
+        assert abs(y @ k @ y - area) < 1e-13
+        assert abs(x @ k @ y) < 1e-13
+
+    def test_inverted_triangles_rejected(self):
+        mesh = eccentric_mesh()
+        flipped = dataclasses.replace(mesh, triangles=mesh.triangles[:, [0, 2, 1]])
+        with pytest.raises(AssemblyError):
+            assemble(flipped)
+
     def test_stiffness_kernel_is_constants(self):
         mesh = build_annular_mesh(concentric(0.3), 32, 4)
         system = assemble(mesh)
@@ -55,10 +62,7 @@ class TestAssembly:
 
     def test_boundary_mass_matches_edge_loop(self):
         """The vectorized boundary mass equals the per-edge accumulation."""
-        mesh = build_annular_mesh(
-            AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
-                          inner=Circle(radius=0.3, center=(0.2, -0.1), orientation=INNER)),
-            32, 4)
+        mesh = eccentric_mesh()
         dofs = mesh.boundary_vertices
         pos = {int(d): i for i, d in enumerate(dofs)}
         ref = np.zeros((len(dofs), len(dofs)))
@@ -97,7 +101,7 @@ class TestSpectrum:
         assert gap < 1e-3 * spectrum.eigenvalues[1]
 
     def test_eigenvector_is_mode_one(self, spectrum):
-        trace = spectrum.trace_on(spectrum.mesh.outer_loop)[:, 1]
+        trace = spectrum.boundary_vectors[len(spectrum.mesh.inner_loop):, 1]
         theta = spectrum.mesh.loop_theta
         # project onto cosθ/sinθ: the trace is a pure first harmonic
         n = len(theta)
@@ -109,8 +113,8 @@ class TestSpectrum:
         assert n == 256
 
     def test_sign_convention(self, spectrum):
-        outer_trace = spectrum.trace_on(spectrum.mesh.outer_loop)
-        assert np.all(outer_trace[0, :] >= -1e-14)
+        outer_start = len(spectrum.mesh.inner_loop)
+        assert np.all(spectrum.boundary_vectors[outer_start, :] >= -1e-14)
 
     def test_count_validation(self):
         mesh = build_annular_mesh(concentric(0.3), 32, 4)
@@ -121,14 +125,9 @@ class TestSpectrum:
 class TestAccuracy:
     @pytest.mark.parametrize("eps", [0.08, 0.146721, 0.3, 0.5])
     def test_relative_error_bound(self, eps):
-        grading = 1.15 if eps < 0.15 else 1.0
-        spec = solve_domain(concentric(eps), 256, 24, count=2, grading=grading)
+        spec = solve_domain(concentric(eps), 256, 24, count=2, grading=radial_grading(eps))
         lam_exact = analytic.steklov_eig(eps, 1, "minus")
         assert abs(spec.eigenvalues[1] - lam_exact) < 5e-3 * lam_exact
-
-    def test_normalized_first_matches_curve(self):
-        value = normalized_first(concentric(0.3), 256, 24)
-        assert value == pytest.approx(analytic.normalized_first(0.3), abs=5e-3)
 
     def test_convergence_second_order(self):
         study = convergence_study(concentric(0.3), [(64, 8), (128, 16), (256, 32)])

@@ -3,9 +3,8 @@ import pytest
 
 from steklov_annulus.geometry import (INNER, TWO_PI, AnnularDomain, Circle,
                                       CosinePerturbedCircle)
-from steklov_annulus.mesher import (Mesh, MeshingError, _signed_areas,
-                                    build_annular_mesh, export_mesh,
-                                    mesh_metrics)
+from steklov_annulus.mesher import (MeshingError, _signed_areas, build_annular_mesh,
+                                    mesh_metrics, radial_grading)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +76,11 @@ class TestGrading:
         radii = np.linalg.norm(mesh.vertices[::32], axis=1)
         np.testing.assert_allclose(np.diff(radii), 0.7 / 4, rtol=1e-13)
 
+    def test_grading_rule_threshold(self):
+        # the tables grade the critical radius 0.146721 and ε = 0.08, not ε = 0.3
+        assert radial_grading(0.08) == radial_grading(0.146721) > 1.0
+        assert radial_grading(0.15) == radial_grading(0.3) == 1.0
+
 
 class TestMetrics:
     def test_boundary_lengths_converge_to_perimeters(self, annulus):
@@ -89,12 +93,3 @@ class TestMetrics:
         assert metrics["min_angle"] > 15.0
         assert metrics["max_aspect"] < 6.0
 
-
-class TestExport:
-    def test_export_line_counts(self, annulus):
-        mesh = build_annular_mesh(annulus, 32, 4)
-        lines = export_mesh(mesh).strip().split("\n")
-        kinds = [line[0] for line in lines]
-        assert kinds.count("v") == len(mesh.vertices)
-        assert kinds.count("t") == len(mesh.triangles)
-        assert kinds.count("b") == 64
