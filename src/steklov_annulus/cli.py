@@ -64,7 +64,8 @@ def build_parser():
     sub.add_parser("fig1", help="normalized-eigenvalue curve with its maximum")
     p_table = sub.add_parser("table", help="one reference table (1-7)")
     p_table.add_argument("number", type=int, choices=range(1, 8))
-    sub.add_parser("fd-check", help="derivative consistency triangle")
+    sub.add_parser("fd-check",
+                   help="derivative consistency triangle (mesh capped at 256x24)")
     sub.add_parser("eps0", help="critical inner radius report")
     return parser
 

@@ -114,6 +114,11 @@ def _solve_perturbed_row(args):
     return value, inner.arc_length()
 
 
+def _fd_check_row(args):
+    eps, n_theta, n_radial = args
+    return shape_deriv.consistency_triangle(eps, n_theta=n_theta, n_radial=n_radial)
+
+
 def _map_rows(worker, arglist, jobs):
     if jobs <= 1:
         return [worker(a) for a in arglist]
@@ -184,9 +189,9 @@ def run_fd_check(eps_values=(0.1, EPS0, 0.3), n_theta=256, n_radial=24,
     if tolerance is None:
         tolerance = 0.02
     eps0 = analytic.find_eps0().root
+    triangles = _map_rows(_fd_check_row, [(eps, n_theta, n_radial) for eps in eps_values], jobs)
     rows = []
-    for eps in eps_values:
-        tri = shape_deriv.consistency_triangle(eps, n_theta=n_theta, n_radial=n_radial)
+    for eps, tri in zip(eps_values, triangles):
         at_critical = abs(eps - eps0) < 1e-4
         if at_critical:
             worst = max(abs(tri["analytic"]), abs(tri["matrix"]))

@@ -3,8 +3,9 @@
 The stiffness matrix is assembled from exact element integrals of hat
 function gradients; the boundary mass matrix from exact edge integrals
 (edge-length/6 times the [[2,1],[1,2]] pattern).  Both are sparse.  The
-spectrum comes from one sparse generalized eigensolve of the Steklov pencil
-over all vertices (see `linalg`); only the boundary traces are kept.
+spectrum comes from one sparse generalized eigensolve of the Steklov pencil,
+a Lanczos iteration on the boundary traces (see `linalg`); only the traces
+are kept.
 """
 
 from __future__ import annotations

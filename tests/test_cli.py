@@ -121,6 +121,15 @@ class TestOutputs:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 3  # one header, two rows
 
+    def test_fd_check_jobs_do_not_change_output(self, tmp_path, capsys):
+        # ε = 0.1 breaches its tolerance on so coarse a mesh: exit 1 either way
+        codes = [cli.main(["--out", str(tmp_path / jobs), "--ntheta", "32", "--nr", "4",
+                           "--jobs", jobs, "fd-check"]) for jobs in ("1", "2")]
+        assert codes[0] == codes[1]
+        serial = (tmp_path / "1" / "fd-check.csv").read_bytes()
+        assert len(serial.splitlines()) == 4  # header + three radii
+        assert serial == (tmp_path / "2" / "fd-check.csv").read_bytes()
+
 
 class TestDefaultTolerances:
     """Without --tolerance each runner applies its own default."""

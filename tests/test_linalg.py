@@ -95,6 +95,48 @@ class TestGeneralizedEig:
         outer_start = np.nonzero(spec.boundary_dofs == spec.mesh.outer_loop[0])[0][0]
         assert np.all(v[outer_start, :] >= 0.0)
 
+    def test_double_eigenspace_matches_dense(self):
+        """Inside the double λ₁ the basis is arbitrary, the eigenspace is not:
+        its M_∂-orthogonal projector V·Vᵀ·M_∂ equals the dense one."""
+        spec = solve_domain(annulus(0.3), 64, 8, count=3)
+        system = assemble(spec.mesh)
+        m = system.boundary_mass.toarray()
+        _, ref = scipy.linalg.eigh(dense_dtn(system), m)
+        v, w = spec.boundary_vectors[:, 1:3], ref[:, 1:3]
+        np.testing.assert_allclose(v @ v.T @ m, w @ w.T @ m, rtol=0.0, atol=1e-8)
+
+    def test_lanczos_runs_on_boundary_traces(self, monkeypatch):
+        """The iteration works on boundary traces to LANCZOS_TOL: at most 40
+        solves with the K + M_∂ factor on a concentric 256×24 mesh, whose
+        double λ₁ slows convergence (64 over all vertices at eigsh's
+        default tolerance)."""
+        n = len(build_annular_mesh(annulus(0.3), 256, 24).vertices)
+        real_splu = linalg.splu
+        solves = []
+
+        class CountedFactor:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, rhs):
+                solves.append(rhs.shape)
+                return self.factor.solve(rhs)
+
+        def counted_splu(a, *args, **kwargs):
+            factor = real_splu(a, *args, **kwargs)
+            return CountedFactor(factor) if a.shape[0] == n else factor
+
+        monkeypatch.setattr(linalg, "splu", counted_splu)
+        solve_domain(annulus(0.3), 256, 24, count=3)
+        assert 0 < len(solves) <= 40
+
+    def test_largest_count(self, eccentric):
+        """count = n_b − 1 leaves no room for the extra pair and still works."""
+        nb = len(eccentric.boundary_dofs)
+        lams, _ = steklov_eigs(eccentric.stiffness, eccentric.boundary_mass,
+                               eccentric.boundary_dofs, nb - 1)
+        np.testing.assert_allclose(lams[1:], dense_reference(eccentric)[1:nb - 1], rtol=1e-10)
+
     def test_count_validation(self, eccentric):
         nb = len(eccentric.boundary_dofs)
         for count in (0, nb):
