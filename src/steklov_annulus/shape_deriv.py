@@ -4,8 +4,10 @@ For a multiple eigenvalue the branch derivatives under a normal field V_n
 are the eigenvalues of a small symmetric matrix built from boundary
 integrals of the eigenfunctions.  On the concentric annulus all entries
 reduce to exact trigonometric integrals of the band-limited field, so the
-matrices here are quadrature-free.  A finite-difference oracle re-solves
-the FEM problem on perturbed domains to validate signs and magnitudes.
+matrices here are quadrature-free.  So is the perimeter term ∫H·V_n dσ of
+the normalized derivative, which is defined on circles only.  A
+finite-difference oracle re-solves the FEM problem on perturbed domains to
+validate signs and magnitudes.
 
 Orientation convention, fixed against the finite-difference oracle: V_n is
 the component of the deformation along the *domain outward* normal, so on
@@ -107,16 +109,19 @@ def ball_matrix(dim: int, radius: float, beta: float,
     return ShapeDerivMatrix(entries=m, context=f"Ball(dim={dim}, R={radius}, beta={beta})")
 
 
-def annulus_coeffs(eps: float) -> AnnulusCoeffs:
-    """C-coefficients of the inner-boundary integrand, from the normalized
-    harmonic coefficients of the lower first-mode branch (β = 0)."""
-    pair = analytic.solve_coeffs(eps, 1, 0.0, "minus")
-    lam = pair.lam
+def _inner_coeffs(pair: analytic.CoeffPair) -> AnnulusCoeffs:
+    eps, lam = pair.eps, pair.lam
     q = pair.a_k * eps + pair.a_mk / eps        # boundary value factor on r = ε
     p = pair.a_k - pair.a_mk / eps ** 2         # radial-derivative factor on r = ε
     c2 = q * q / eps
     c3 = (q * q * lam / eps - p * p) * eps
     return AnnulusCoeffs(c1=c3 - c2, c2=c2, c3=c3, lam=lam, eps=eps)
+
+
+def annulus_coeffs(eps: float) -> AnnulusCoeffs:
+    """C-coefficients of the inner-boundary integrand, from the normalized
+    harmonic coefficients of the lower first-mode branch (β = 0)."""
+    return _inner_coeffs(analytic.solve_coeffs(eps, 1, 0.0, "minus"))
 
 
 def _inner_matrix(coeffs: AnnulusCoeffs, field: PerturbationField) -> np.ndarray:
@@ -134,9 +139,8 @@ def _inner_matrix(coeffs: AnnulusCoeffs, field: PerturbationField) -> np.ndarray
     ])
 
 
-def _outer_matrix(eps: float, field: PerturbationField) -> np.ndarray:
+def _outer_matrix(pair: analytic.CoeffPair, field: PerturbationField) -> np.ndarray:
     """Branch-derivative integrand on the outer unit circle (β = 0)."""
-    pair = analytic.solve_coeffs(eps, 1, 0.0, "minus")
     lam = pair.lam
     q = pair.a_k + pair.a_mk          # boundary value factor on r = 1
     p = pair.a_k - pair.a_mk          # radial-derivative factor on r = 1
@@ -162,10 +166,10 @@ def annulus_matrices(eps: float, field_inner: PerturbationField,
         raise ShapeDerivError(f"inner radius must lie in (0, 1), got {eps}")
     if field_inner.target != INNER or field_outer.target != OUTER:
         raise ShapeDerivError("field targets must be (inner, outer)")
-    coeffs = annulus_coeffs(eps)
-    m = ShapeDerivMatrix(entries=_inner_matrix(coeffs, field_inner),
+    pair = analytic.solve_coeffs(eps, 1, 0.0, "minus")
+    m = ShapeDerivMatrix(entries=_inner_matrix(_inner_coeffs(pair), field_inner),
                          context=f"AnnulusInner(eps={eps})")
-    mt = ShapeDerivMatrix(entries=_outer_matrix(eps, field_outer),
+    mt = ShapeDerivMatrix(entries=_outer_matrix(pair, field_outer),
                           context=f"AnnulusOuter(eps={eps})")
     return m, mt
 
@@ -189,18 +193,19 @@ def split_radial(eps: float, field: PerturbationField):
     return m_r, m_nr
 
 
-def perimeter_derivative(curve: BoundaryCurve, field: PerturbationField,
-                         n_quad: int = 4096) -> float:
-    """First-order perimeter variation ∫ H·V_n dσ on one boundary curve.
+def perimeter_derivative(curve: BoundaryCurve, field: PerturbationField) -> float:
+    """First-order perimeter variation ∫ H·V_n dσ on one circle, exactly.
 
-    For a concentric inner circle of radius ε and V_n = k this gives −2πk
-    (the hole of radius ε − tk loses perimeter at rate 2πk).
+    On a circle H·dσ = ±dθ (+ on an outer, − on an inner circle, whatever
+    the centre and radius), and the oscillatory modes of V_n have zero mean,
+    so the integral is ±2π·ω_r.  A concentric inner circle with V_n = k
+    gives −2πk: the hole of radius ε − tk loses perimeter at rate 2πk.
+    Any other curve raises ``ShapeDerivError``.
     """
-    theta = TWO_PI * np.arange(n_quad) / n_quad
-    h = curve.curvature_at(theta)
-    v = field(theta)
-    speed = np.linalg.norm(curve.tangent_at(theta), axis=-1)
-    return float(np.sum(h * v * speed) * TWO_PI / n_quad)
+    if not isinstance(curve, Circle):
+        raise ShapeDerivError(
+            f"perimeter derivative is defined for circles only, got {type(curve).__name__}")
+    return (TWO_PI if curve.orientation == OUTER else -TWO_PI) * field.radial
 
 
 def normalized_derivative(matrix: ShapeDerivMatrix, perimeter: float,

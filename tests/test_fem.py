@@ -138,3 +138,25 @@ class TestAccuracy:
     def test_convergence_needs_three_resolutions(self):
         with pytest.raises(ValueError):
             convergence_study(concentric(0.3), [(64, 8), (128, 16)])
+
+
+def scaled_domain(t, hole_radius, hole_center):
+    return AnnularDomain(
+        outer=Circle(radius=t, orientation=OUTER),
+        inner=Circle(radius=t * hole_radius, orientation=INNER,
+                     center=(t * hole_center[0], t * hole_center[1])))
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("hole_radius, hole_center",
+                             [(0.3, (0.25, 0.1)), (0.2, (-0.3, 0.4)), (0.3, (0.0, 0.0))])
+    @pytest.mark.parametrize("t", [0.5, 1.7, 3.0])
+    def test_scaling(self, t, hole_radius, hole_center):
+        """λ_j(tΩ) = λ_j(Ω)/t: the mesh of tΩ is the mesh of Ω scaled by t,
+        so the P1 stiffness is unchanged and the boundary mass scales by t."""
+        base = solve_domain(scaled_domain(1.0, hole_radius, hole_center), 32, 4, count=4)
+        scaled = solve_domain(scaled_domain(t, hole_radius, hole_center), 32, 4, count=4)
+        np.testing.assert_allclose(t * scaled.eigenvalues[1:4], base.eigenvalues[1:4],
+                                   rtol=1e-10, atol=0.0)
+        assert abs(base.eigenvalues[0]) <= 1e-12
+        assert abs(scaled.eigenvalues[0]) <= 1e-12

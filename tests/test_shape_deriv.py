@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov_annulus import analytic
-from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, Circle,
+from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, BoundaryCurve,
+                                      Circle, CosinePerturbedCircle,
                                       PerturbationField)
 from steklov_annulus.shape_deriv import (ShapeDerivError, _trig_integrals,
                                          annulus_coeffs, annulus_matrices,
@@ -13,6 +16,13 @@ from steklov_annulus.shape_deriv import (ShapeDerivError, _trig_integrals,
                                          perimeter_derivative, split_radial)
 
 TWO_PI = 2.0 * math.pi
+
+
+def trapezoid_perimeter_derivative(curve, field, n_quad=4096):
+    """∫ H·V_n dσ by the periodic trapezoid rule on the parametrisation."""
+    theta = TWO_PI * np.arange(n_quad) / n_quad
+    speed = np.linalg.norm(curve.tangent_at(theta), axis=-1)
+    return float(np.sum(curve.curvature_at(theta) * field(theta) * speed) * TWO_PI / n_quad)
 
 
 def concentric(eps):
@@ -126,6 +136,46 @@ class TestPerimeterDerivative:
                                   sin_coeffs=(0.1, 0.3), target=INNER)
         k = perimeter_derivative(Circle(radius=0.3, orientation=INNER), field)
         assert abs(k) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(radius=st.floats(0.05, 3.0),
+           center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           orientation=st.sampled_from([INNER, OUTER]),
+           radial=st.floats(-10.0, 10.0),
+           modes=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                          max_size=4))
+    def test_matches_trapezoid_on_any_circle(self, radius, center, orientation,
+                                             radial, modes):
+        curve = Circle(center=center, radius=radius, orientation=orientation)
+        field = PerturbationField(radial=radial,
+                                  cos_coeffs=tuple(a for a, _ in modes),
+                                  sin_coeffs=tuple(b for _, b in modes),
+                                  target=orientation)
+        scale = 1.0 + abs(radial) + sum(abs(a) + abs(b) for a, b in modes)
+        assert abs(perimeter_derivative(curve, field)
+                   - trapezoid_perimeter_derivative(curve, field)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("orientation, sign", [(INNER, -1.0), (OUTER, 1.0)])
+    def test_exact_value(self, orientation, sign):
+        field = PerturbationField(radial=1.3, cos_coeffs=(0.5, 0.2, 0.7),
+                                  sin_coeffs=(0.1, 0.3, -0.2), target=orientation)
+        curve = Circle(center=(0.2, -0.4), radius=0.3, orientation=orientation)
+        assert perimeter_derivative(curve, field) == sign * TWO_PI * 1.3
+
+    def test_non_circle_rejected(self):
+        curve = CosinePerturbedCircle(orientation=INNER, a=0.05, k=3, b=0.3)
+        with pytest.raises(ShapeDerivError):
+            perimeter_derivative(curve, PerturbationField(radial=1.0, target=INNER))
+
+    def test_samples_no_curve_geometry(self, monkeypatch):
+        def refuse(self, theta):
+            raise AssertionError("perimeter_derivative sampled the curve")
+
+        monkeypatch.setattr(BoundaryCurve, "curvature_at", refuse)
+        monkeypatch.setattr(BoundaryCurve, "tangent_at", refuse)
+        k = perimeter_derivative(Circle(radius=0.3, orientation=INNER),
+                                 PerturbationField(radial=1.0, target=INNER))
+        assert k == -TWO_PI
 
 
 class TestFiniteDifferenceOracle:
