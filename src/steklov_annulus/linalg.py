@@ -15,6 +15,11 @@ Lanczos iteration runs on the symmetric boundary pencil
 M_bb·G·M_bb·w = μ·M_bb·w, vectors of length n_b; each application of G is
 one solve with a single sparse LU of K + M_∂, right-hand side scattered onto
 the boundary.  No dense operator is formed.
+K + M_∂ is assembled directly in the elimination order the caller passes and
+factored in exactly that order (SuperLU's NATURAL ordering of the permuted
+matrix, diagonal pivots).  For the structured annular meshes that order is
+the minimum-degree order of the resolution's union stencil, computed once
+per (N_θ, N_r) in `mesher`; this module makes no ordering choice itself.
 One more block solve lifts the converged traces w to full vertex vectors
 u = (K + M_∂)⁻¹·E·M_bb·w/μ, on which every pair is checked against
 RESIDUAL_BOUND: K·u − λ·M_∂·u = (1/μ)·E·M_bb·(w − Eᵀu) is the boundary
@@ -44,10 +49,14 @@ class EigensolveError(ValueError):
 
 
 def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
-                 boundary_dofs, count: int):
+                 boundary_dofs, count: int, order):
     """`count` smallest eigenpairs of K·u = λ·M_∂·u.
 
-    boundary_mass is indexed by position in boundary_dofs.  Returns the
+    boundary_mass is indexed by position in boundary_dofs.  order is the
+    elimination order of K + M_∂, a permutation of range(n) whose k-th entry
+    is the vertex eliminated k-th (`Mesh.elimination_order`); K + M_∂ is
+    factored in that order and no other.  Any permutation gives the same
+    pairs up to round-off; only fill and speed depend on it.  Returns the
     ascending eigenvalues and the boundary traces as columns, in
     boundary_dofs order and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are
     computed (at most n_b − 1, ARPACK's limit on the boundary pencil), so
@@ -58,29 +67,35 @@ def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
     n, nb = stiffness.shape[0], len(boundary_dofs)
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
+    if not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"order must be a permutation of range({n})")
+    position = np.empty(n, dtype=np.int64)  # vertex v is eliminated at step position[v]
+    position[order] = np.arange(n)
     mbb = sp.csc_matrix(boundary_mass)
-    mb = mbb.tocoo()
-    mass = sp.csc_matrix((mb.data, (boundary_dofs[mb.row], boundary_dofs[mb.col])),
-                         shape=(n, n))
-    shifted = (stiffness + mass).tocsc()
+    k, mb = stiffness.tocoo(), mbb.tocoo()
+    # P·(K + M_∂)·Pᵀ in one COO → CSC step, which sums the duplicates
+    rows = position[np.concatenate([k.row, boundary_dofs[mb.row]])]
+    cols = position[np.concatenate([k.col, boundary_dofs[mb.col]])]
+    shifted = sp.csc_matrix((np.concatenate([k.data, mb.data]), (rows, cols)), shape=(n, n))
     try:
-        # K + M_∂ is SPD: a symmetric ordering and diagonal pivots are stable
-        # and fill less than the default column ordering with row pivoting
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        # K + M_∂ is SPD: diagonal pivots in a symmetric ordering are stable
+        lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
         mbb_lu = splu(mbb)
     except RuntimeError as exc:
         raise EigensolveError(f"sparse LU factorization failed: {exc}") from exc
+    boundary_steps = position[boundary_dofs]
 
     def lift(traces):
-        """(K + M_∂)⁻¹·E·traces: one LU solve, every column at once."""
+        """(K + M_∂)⁻¹·E·traces in elimination order: one LU solve, every
+        column at once."""
         rhs = np.zeros((n,) + traces.shape[1:])
-        rhs[boundary_dofs] = traces
+        rhs[boundary_steps] = traces
         return lu.solve(rhs)
 
     def boundary_op(w):
         """M_bb·G·M_bb·w with G = Eᵀ·(K + M_∂)⁻¹·E."""
-        return mbb @ lift(mbb @ w)[boundary_dofs]
+        return mbb @ lift(mbb @ w)[boundary_steps]
 
     op = LinearOperator((nb, nb), matvec=boundary_op, dtype=float)
     minv = LinearOperator((nb, nb), matvec=mbb_lu.solve, dtype=float)
@@ -91,17 +106,20 @@ def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
     except ArpackError as exc:
         raise EigensolveError(f"Lanczos iteration failed: {exc}") from exc
 
-    order = np.argsort(-mu)[:count]
-    eigenvalues = 1.0 / mu[order] - 1.0
-    # full vertex vectors u = (K + M_∂)⁻¹·E·M_bb·w/μ, whose residual below is
-    # the boundary eigen-residual of w
-    vectors = lift(mbb @ traces[:, order]) / mu[order]
-    mv = mass @ vectors
-    scale = np.sqrt(np.einsum("ij,ij->j", vectors, mv))
-    vectors, mv = vectors / scale, mv / scale
-    residual = (np.linalg.norm(stiffness @ vectors - mv * eigenvalues, axis=0)
+    top = np.argsort(-mu)[:count]
+    eigenvalues = 1.0 / mu[top] - 1.0
+    # full vertex vectors u = (K + M_∂)⁻¹·E·M_bb·w/μ, back in vertex order,
+    # whose residual below is the boundary eigen-residual of w
+    vectors = lift(mbb @ traces[:, top])[position] / mu[top]
+    on_boundary = vectors[boundary_dofs]
+    mv = mbb @ on_boundary  # M_∂·u, zero off the boundary
+    scale = np.sqrt(np.einsum("ij,ij->j", on_boundary, mv))
+    vectors, on_boundary, mv = vectors / scale, on_boundary / scale, mv / scale
+    residual = stiffness @ vectors
+    residual[boundary_dofs] -= mv * eigenvalues
+    residual = (np.linalg.norm(residual, axis=0)
                 / ((1.0 + eigenvalues) * np.linalg.norm(mv, axis=0)))
     worst = float(np.max(residual))
     if not worst <= RESIDUAL_BOUND:  # also catches NaN
         raise EigensolveError(f"eigenpair residual {worst:.3g} exceeds {RESIDUAL_BOUND:g}")
-    return eigenvalues, vectors[boundary_dofs, :]
+    return eigenvalues, on_boundary

@@ -4,13 +4,24 @@ Vertices sit on rays θ_i = 2πi/N_θ, blended linearly between the inner and
 outer boundary parameterizations.  The construction is deterministic and
 keeps the boundary loop indexing fixed under small boundary motion, which
 the finite-difference shape-gradient checks rely on.
+
+The vertex numbering depends on (N_θ, N_r) alone, and so does the graph of
+K + M_∂ up to the diagonal each quad takes.  Its fill-reducing elimination
+order is therefore computed once per resolution and process
+(`Mesh.elimination_order`): SciPy's minimum-degree ordering of the union
+stencil, in which every quad carries both diagonals.  That graph contains
+the stiffness graph of every mesh of the resolution, and the boundary-mass
+couplings are quad edges.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .geometry import TWO_PI, AnnularDomain
 
@@ -45,6 +56,12 @@ class Mesh:
     @property
     def boundary_vertices(self):
         return np.concatenate([self.inner_loop, self.outer_loop])
+
+    @property
+    def elimination_order(self):
+        """Fill-reducing elimination order of K + M_∂ at this resolution:
+        entry k is the vertex eliminated k-th.  Cached, read-only."""
+        return _elimination_order(self.n_theta, self.n_radial)
 
 
 def radial_grading(inner_radius):
@@ -85,24 +102,15 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
     verts = ((1.0 - s[:, None, None]) * inner_pts[None, :, :]
              + s[:, None, None] * outer_pts[None, :, :]).reshape(-1, 2)
 
-    ii = np.arange(n_theta)
-    ii1 = (ii + 1) % n_theta
-    tris = np.empty((2 * n_theta * n_radial, 3), dtype=np.int64)
-    row = 0
-    for j in range(n_radial):
-        # CCW quad: (inner θ_i, outer θ_i, outer θ_{i+1}, inner θ_{i+1})
-        a = j * n_theta + ii
-        b = (j + 1) * n_theta + ii
-        c = (j + 1) * n_theta + ii1
-        d = j * n_theta + ii1
-        diag_ac = np.sum((verts[a] - verts[c]) ** 2, axis=1)
-        diag_bd = np.sum((verts[b] - verts[d]) ** 2, axis=1)
-        use_ac = diag_ac <= diag_bd
-        t1 = np.where(use_ac[:, None], np.stack([a, b, c], 1), np.stack([a, b, d], 1))
-        t2 = np.where(use_ac[:, None], np.stack([a, c, d], 1), np.stack([b, c, d], 1))
-        tris[row:row + n_theta] = t1
-        tris[row + n_theta:row + 2 * n_theta] = t2
-        row += 2 * n_theta
+    # every quad of every layer at once; CCW corners (a, b, c, d)
+    a, b, c, d = _quad_corners(n_theta, n_radial)
+    diag_ac = np.sum((verts[a] - verts[c]) ** 2, axis=-1)
+    diag_bd = np.sum((verts[b] - verts[d]) ** 2, axis=-1)
+    use_ac = (diag_ac <= diag_bd)[..., None]
+    t1 = np.where(use_ac, np.stack([a, b, c], -1), np.stack([a, b, d], -1))
+    t2 = np.where(use_ac, np.stack([a, c, d], -1), np.stack([b, c, d], -1))
+    # layer by layer: the first triangles of its quads, then the second ones
+    tris = np.concatenate([t1, t2], axis=1).reshape(-1, 3)
 
     areas = _signed_areas(verts, tris)
     if np.any(areas <= 0):
@@ -110,9 +118,46 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
         bad_theta = theta[tris[bad, 0] % n_theta]
         raise MeshingError(f"tangled mesh: nonpositive triangle area near theta={bad_theta:.6f}")
 
+    ii = np.arange(n_theta)
     return Mesh(vertices=verts, triangles=tris,
-                inner_loop=ii.copy(), outer_loop=(n_radial * n_theta + ii),
+                inner_loop=ii, outer_loop=(n_radial * n_theta + ii),
                 loop_theta=theta, n_theta=n_theta, n_radial=n_radial)
+
+
+def _quad_corners(n_theta, n_radial):
+    """Vertex numbers of the CCW quads (inner θ_i, outer θ_i, outer θ_{i+1},
+    inner θ_{i+1}) of every layer, four (N_r, N_θ) arrays.  Vertex i of ring j
+    is j·N_θ + i; ring 0 is the inner boundary."""
+    ring = n_theta * np.arange(n_radial)[:, None]
+    ii = np.arange(n_theta)
+    a = ring + ii
+    d = ring + (ii + 1) % n_theta
+    return a, a + n_theta, d + n_theta, d
+
+
+@functools.lru_cache(maxsize=16)
+def _elimination_order(n_theta, n_radial):
+    """Minimum-degree elimination order of the union stencil.
+
+    SuperLU's MMD ordering of A + Aᵀ, read off one factorization of a
+    diagonally dominant, hence SPD, matrix whose graph joins all four
+    corners of every quad.  The ordering sees only the graph; the values
+    just let the factorization, with the eigensolver's options, succeed.
+    """
+    a, b, c, d = _quad_corners(n_theta, n_radial)
+    p = np.concatenate([a, b, c, d, a, b], axis=None)
+    q = np.concatenate([b, c, d, a, c, d], axis=None)
+    n = (n_radial + 1) * n_theta
+    diag = np.arange(n)
+    degree = np.bincount(p, minlength=n) + np.bincount(q, minlength=n)
+    spd = sp.csc_matrix((np.concatenate([-np.ones(2 * len(p)), degree + 1.0]),
+                         (np.concatenate([p, q, diag]), np.concatenate([q, p, diag]))),
+                        shape=(n, n))
+    perm_c = splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True}).perm_c
+    order = np.argsort(perm_c)  # perm_c[v] is the step at which v is eliminated
+    order.setflags(write=False)
+    return order
 
 
 def _signed_areas(verts, tris):

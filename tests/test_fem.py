@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from steklov_annulus import analytic
+from steklov_annulus.experiments import TRANSLATION_TABLES
 from steklov_annulus.fem import (AssemblyError, assemble, convergence_study,
                                  solve_domain, solve_spectrum)
 from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
@@ -160,3 +161,21 @@ class TestMetamorphic:
                                    rtol=1e-10, atol=0.0)
         assert abs(base.eigenvalues[0]) <= 1e-12
         assert abs(scaled.eigenvalues[0]) <= 1e-12
+
+    @pytest.mark.parametrize("d", [0.1, 0.4])
+    @pytest.mark.parametrize("table", sorted(TRANSLATION_TABLES))
+    def test_translation_rows_reflect(self, table, d):
+        """A translation row and its mirror row have the same λ₁: (d, 0) and
+        (−d, 0) on the x-axis tables, (−d, d) and (d, −d) on the diagonal ones.
+        The two meshes are congruent, but mirrored vertices sit at different
+        steps of the cached elimination order, which has no mirror symmetry;
+        so this also shows that the order does not bias the eigenvalues."""
+        eps, direction = TRANSLATION_TABLES[table]
+        centers = ([(d, 0.0), (-d, 0.0)] if direction == "x-axis"
+                   else [(-d, d), (d, -d)])
+        lam1 = [solve_domain(AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
+                                           inner=Circle(radius=eps, center=c,
+                                                        orientation=INNER)),
+                             64, 8, count=2, grading=radial_grading(eps)).eigenvalues[1]
+                for c in centers]
+        assert lam1[1] == pytest.approx(lam1[0], rel=1e-10, abs=0.0)

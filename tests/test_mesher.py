@@ -3,8 +3,8 @@ import pytest
 
 from steklov_annulus.geometry import (INNER, TWO_PI, AnnularDomain, Circle,
                                       CosinePerturbedCircle)
-from steklov_annulus.mesher import (MeshingError, _signed_areas, build_annular_mesh,
-                                    mesh_metrics, radial_grading)
+from steklov_annulus.mesher import (MeshingError, _radial_fractions, _signed_areas,
+                                    build_annular_mesh, mesh_metrics, radial_grading)
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +13,49 @@ def annulus():
                          inner=Circle(radius=0.3, orientation=INNER))
 
 
+def layer_loop_mesh(domain, n_theta, n_radial, grading):
+    """Vertices and triangles built ring by ring and layer by layer, each quad
+    split along its shorter diagonal: the reference for the vectorised
+    build_annular_mesh."""
+    theta = TWO_PI * np.arange(n_theta) / n_theta
+    inner_pts = domain.inner.point_at(theta)
+    outer_pts = domain.outer.point_at(theta)
+    verts = np.concatenate([(1.0 - s) * inner_pts + s * outer_pts
+                            for s in _radial_fractions(n_radial, grading)])
+    ii = np.arange(n_theta)
+    ii1 = (ii + 1) % n_theta
+    tris = []
+    for j in range(n_radial):
+        a = j * n_theta + ii
+        b = (j + 1) * n_theta + ii
+        c = (j + 1) * n_theta + ii1
+        d = j * n_theta + ii1
+        use_ac = (np.sum((verts[a] - verts[c]) ** 2, axis=1)
+                  <= np.sum((verts[b] - verts[d]) ** 2, axis=1))[:, None]
+        tris.append(np.where(use_ac, np.stack([a, b, c], 1), np.stack([a, b, d], 1)))
+        tris.append(np.where(use_ac, np.stack([a, c, d], 1), np.stack([b, c, d], 1)))
+    return verts, np.concatenate(tris)
+
+
+# name -> (inner boundary, radial grading)
+HOLES = {
+    "eccentric": (Circle(radius=0.3, center=(0.25, 0.1), orientation=INNER), 1.0),
+    "graded": (Circle(radius=0.08, center=(-0.3, 0.3), orientation=INNER), radial_grading(0.08)),
+    "perturbed": (CosinePerturbedCircle(a=0.05, k=10, b=0.2, orientation=INNER), 1.0),
+}
+
+
 class TestBuild:
+    @pytest.mark.parametrize("n_theta, n_radial", [(64, 8), (36, 5)])
+    @pytest.mark.parametrize("hole", sorted(HOLES))
+    def test_matches_layer_loop(self, hole, n_theta, n_radial):
+        inner, grading = HOLES[hole]
+        domain = AnnularDomain(outer=Circle(radius=1.0), inner=inner)
+        mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
+        verts, tris = layer_loop_mesh(domain, n_theta, n_radial, grading)
+        np.testing.assert_array_equal(mesh.vertices, verts)
+        np.testing.assert_array_equal(mesh.triangles, tris)
+
     def test_counts(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 4)
         assert mesh.vertices.shape == (32 * 5, 2)
