@@ -108,10 +108,7 @@ def run(args, settings):
     if args.command == "fig1":
         result = experiments.run_fig1()
         (out_dir / "fig1.csv").write_text(experiments.curve_to_csv(result["curve"]))
-        svg = experiments.polyline_svg(result["curve"],
-                                       marker=(result["eps0"], result["E_at_eps0"]),
-                                       x_label="inner radius",
-                                       y_label="perimeter-normalized first eigenvalue")
+        svg = experiments.polyline_svg(result["curve"], (result["eps0"], result["E_at_eps0"]))
         (out_dir / "fig1.svg").write_text(svg)
         rows = [experiments.ResultRow(
             experiment="fig1", descriptor=f"eps0={result['eps0']:.12f}",

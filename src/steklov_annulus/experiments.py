@@ -15,8 +15,7 @@ import numpy as np
 
 from . import analytic, shape_deriv
 from .geometry import (INNER, OUTER, TWO_PI, AnnularDomain, Circle,
-                       CosinePerturbedCircle, PerturbationField,
-                       amplitude_for_perimeter)
+                       CosinePerturbedCircle, amplitude_for_perimeter)
 from .fem import solve_domain
 from .mesher import radial_grading
 
@@ -145,7 +144,7 @@ def run_translation_table(table, n_theta=DEFAULT_NTHETA, n_radial=DEFAULT_NR,
 
 
 def run_perturbed_table(n_theta=DEFAULT_NTHETA, n_radial=DEFAULT_NR,
-                        tolerance=None, jobs=1, freqs=None):
+                        tolerance=None, jobs=1):
     """ResultRows for the cosine-perturbed inner boundaries (plus the true
     inner perimeter of each domain as an extra descriptor field).
 
@@ -153,34 +152,32 @@ def run_perturbed_table(n_theta=DEFAULT_NTHETA, n_radial=DEFAULT_NR,
     """
     if tolerance is None:
         tolerance = PERTURBED_TOLERANCE
-    freqs = sorted(PERTURBED_TABLE if freqs is None else freqs)
     arglist = []
-    for freq in freqs:
+    for freq in sorted(PERTURBED_TABLE):
         amplitude = amplitude_for_perimeter(freq, EPS0, EPS0)
         arglist.append((freq, amplitude, n_theta, n_radial))
     results = _map_rows(_solve_perturbed_row, arglist, jobs)
     rows = []
     for (freq, amplitude, _, _), (value, true_len) in zip(arglist, results):
-        ref = PERTURBED_TABLE.get(freq, (None, None))[1]
         rows.append(ResultRow(
             experiment="table7",
             descriptor=f"k={freq} a={amplitude:.4f} inner_arclen={true_len:.6f}",
-            computed=value, reference=ref, tolerance=tolerance))
+            computed=value, reference=PERTURBED_TABLE[freq][1], tolerance=tolerance))
     return rows
 
 
-def run_fig1(n_points=500, lo=0.01, hi=0.95):
-    """Sweep of the normalized-eigenvalue curve with its marked maximum."""
-    eps_grid = np.linspace(lo, hi, n_points)
-    curve = analytic.sample_E(eps_grid)
+def run_fig1():
+    """Sweep of the normalized-eigenvalue curve at 500 radii in [0.01, 0.95]
+    with its marked maximum."""
+    curve = analytic.sample_E(np.linspace(0.01, 0.95, 500))
     critical = analytic.find_eps0()
     return {"curve": curve, "eps0": critical.root,
             "E_at_eps0": analytic.normalized_first(critical.root)}
 
 
-def run_fd_check(eps_values=(0.1, EPS0, 0.3), n_theta=256, n_radial=24,
-                 tolerance=None, jobs=1):
-    """Consistency-triangle rows: three derivative routes per ε.
+def run_fd_check(n_theta=256, n_radial=24, tolerance=None, jobs=1):
+    """Consistency-triangle rows: three derivative routes at ε = 0.1, ε₀
+    and 0.3.
 
     tolerance bounds the relative pairwise mismatch (None means 0.02).  At
     the critical radius all routes are near zero, so an absolute bound on
@@ -189,6 +186,7 @@ def run_fd_check(eps_values=(0.1, EPS0, 0.3), n_theta=256, n_radial=24,
     if tolerance is None:
         tolerance = 0.02
     eps0 = analytic.find_eps0().root
+    eps_values = (0.1, EPS0, 0.3)
     triangles = _map_rows(_fd_check_row, [(eps, n_theta, n_radial) for eps in eps_values], jobs)
     rows = []
     for eps, tri in zip(eps_values, triangles):
@@ -238,9 +236,10 @@ def curve_to_csv(curve):
     return "\n".join(lines) + "\n"
 
 
-def polyline_svg(points, marker=None, width=640, height=440, margin=50,
-                 x_label="x", y_label="y"):
-    """Minimal SVG line plot: one polyline, axis ticks, optional marker."""
+def polyline_svg(points, marker):
+    """Minimal SVG plot of the E(ε) curve: one polyline, axis ticks and a
+    marker at the point ``marker`` = (ε₀, E(ε₀))."""
+    width, height, margin = 640, 440, 50
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
     x0, x1 = xs.min(), xs.max()
@@ -274,13 +273,13 @@ def polyline_svg(points, marker=None, width=640, height=440, margin=50,
         parts.append(f'<text x="{margin - 8}" y="{sy(tick) + 4:.2f}" font-size="11" '
                      f'text-anchor="end">{tick:.2f}</text>')
     parts.append(f'<text x="{width / 2}" y="{height - 12}" font-size="12" '
-                 f'text-anchor="middle">{x_label}</text>')
+                 f'text-anchor="middle">inner radius</text>')
     parts.append(f'<text x="14" y="{height / 2}" font-size="12" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {height / 2})">{y_label}</text>')
-    if marker is not None:
-        mx, my = marker
-        parts.append(f'<circle cx="{sx(mx):.2f}" cy="{sy(my):.2f}" r="4" fill="crimson"/>')
-        parts.append(f'<text x="{sx(mx) + 8:.2f}" y="{sy(my) - 8:.2f}" font-size="11">'
-                     f'max at {mx:.6f}</text>')
+                 f'transform="rotate(-90 14 {height / 2})">'
+                 'perimeter-normalized first eigenvalue</text>')
+    mx, my = marker
+    parts.append(f'<circle cx="{sx(mx):.2f}" cy="{sy(my):.2f}" r="4" fill="crimson"/>')
+    parts.append(f'<text x="{sx(mx) + 8:.2f}" y="{sy(my) - 8:.2f}" font-size="11">'
+                 f'max at {mx:.6f}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

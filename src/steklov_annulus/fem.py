@@ -48,7 +48,6 @@ class SteklovSpectrum:
     boundary_vectors: np.ndarray
     boundary_dofs: np.ndarray
     mesh: Mesh
-    polygonal_perimeter: float
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -109,8 +108,7 @@ def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
     vectors = vectors * signs[None, :]
 
     return SteklovSpectrum(eigenvalues=eigenvalues, boundary_vectors=vectors,
-                           boundary_dofs=system.boundary_dofs, mesh=system.mesh,
-                           polygonal_perimeter=float(system.boundary_mass.sum()))
+                           boundary_dofs=system.boundary_dofs, mesh=system.mesh)
 
 
 def solve_domain(domain: AnnularDomain, n_theta: int, n_radial: int,
@@ -118,26 +116,3 @@ def solve_domain(domain: AnnularDomain, n_theta: int, n_radial: int,
     """Mesh, assemble and solve in one call."""
     mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
     return solve_spectrum(assemble(mesh), count)
-
-
-def convergence_study(domain: AnnularDomain, resolutions, grading: float = 1.0):
-    """λ₁ at each (N_θ, N_r) resolution plus a Richardson-extrapolated limit.
-
-    Returns a dict with per-resolution rows (h, λ₁, error vs. the limit) and
-    the observed convergence order from the last three values.
-    """
-    if len(resolutions) < 3:
-        raise ValueError("need at least 3 resolutions")
-    values = []
-    for n_theta, n_radial in resolutions:
-        spec = solve_domain(domain, n_theta, n_radial, count=2, grading=grading)
-        values.append((2.0 * np.pi / n_theta, float(spec.eigenvalues[1])))
-
-    (h2, l2), (h1, l1), (h0, l0) = values[-3:]
-    # Richardson with grid ratio r = h1/h0 assuming e(h) ~ C h^p
-    ratio = (l2 - l1) / (l1 - l0) if l1 != l0 else np.inf
-    r = h1 / h0
-    order = np.log(abs(ratio)) / np.log(r) if np.isfinite(ratio) and ratio > 0 else np.nan
-    limit = l0 + (l0 - l1) / (ratio - 1.0) if np.isfinite(ratio) and ratio != 1.0 else l0
-    rows = [(h, lam, lam - limit) for h, lam in values]
-    return {"rows": rows, "limit": float(limit), "observed_order": float(order)}

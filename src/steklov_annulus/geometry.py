@@ -64,22 +64,6 @@ class BoundaryCurve:
         c, s = np.cos(theta), np.sin(theta)
         return np.stack([dr * c - r * s, dr * s + r * c], axis=-1)
 
-    def outward_normal_at(self, theta):
-        """Unit normal pointing out of the annular domain.
-
-        On an outer curve this points away from the enclosed region; on an
-        inner curve it points into the hole.
-        """
-        v = self.tangent_at(theta)
-        speed = np.linalg.norm(v, axis=-1, keepdims=True)
-        if np.any(speed < 1e-14):
-            raise GeometryError("degenerate tangent (zero velocity)")
-        # (y', -x')/|v| points away from the center for a CCW polar graph
-        n = np.stack([v[..., 1], -v[..., 0]], axis=-1) / speed
-        if self.orientation == INNER:
-            n = -n
-        return n
-
     def curvature_at(self, theta):
         """Mean curvature H with the signed-distance sign convention.
 
@@ -94,8 +78,9 @@ class BoundaryCurve:
         kappa = (r * r + 2.0 * dr * dr - r * ddr) / speed2 ** 1.5
         return kappa if self.orientation == OUTER else -kappa
 
-    def arc_length(self, rtol=1e-12, max_doublings=20):
-        """Arc length ∫√(r² + r'²) dθ by panel-doubled Gauss-Legendre."""
+    def arc_length(self):
+        """Arc length ∫√(r² + r'²) dθ by panel-doubled Gauss-Legendre, to a
+        relative change of 1e-12 between doublings."""
         nodes, weights = np.polynomial.legendre.leggauss(16)
 
         def composite(panels):
@@ -109,10 +94,10 @@ class BoundaryCurve:
 
         panels = 4
         prev = composite(panels)
-        for _ in range(max_doublings):
+        for _ in range(20):
             panels *= 2
             cur = composite(panels)
-            if abs(cur - prev) <= rtol * abs(cur):
+            if abs(cur - prev) <= 1e-12 * abs(cur):
                 return cur
             prev = cur
         raise GeometryError("arc_length did not converge")
@@ -135,7 +120,7 @@ class Circle(BoundaryCurve):
 
     _ddr = _dr
 
-    def arc_length(self, rtol=1e-12, max_doublings=20):
+    def arc_length(self):
         return TWO_PI * self.radius
 
 
@@ -198,9 +183,9 @@ class AnnularDomain:
         if self.gap() <= 0:
             raise GeometryError("inner curve does not lie strictly inside the outer curve")
 
-    def gap(self, n_samples=720):
-        """Minimum radial clearance of inner-curve points to the outer curve."""
-        theta = TWO_PI * np.arange(n_samples) / n_samples
+    def gap(self):
+        """Minimum radial clearance of 720 inner-curve points to the outer curve."""
+        theta = TWO_PI * np.arange(720) / 720
         pts = self.inner.point_at(theta)
         rel = pts - np.asarray(self.outer.center)
         rho = np.linalg.norm(rel, axis=-1)
@@ -245,16 +230,3 @@ class PerturbationField:
 
     def __call__(self, theta):
         return self.radial + self.oscillatory_at(theta)
-
-
-# Plain-text curve records: one record per curve, key=value tokens.
-
-def curve_to_record(curve):
-    cx, cy = curve.center
-    if isinstance(curve, Circle):
-        return f"kind=circle center={cx:.17g},{cy:.17g} radius={curve.radius:.17g} orientation={curve.orientation}"
-    if isinstance(curve, CosinePerturbedCircle):
-        return (f"kind=cosine center={cx:.17g},{cy:.17g} a={curve.a:.17g} k={curve.k} "
-                f"b={curve.b:.17g} orientation={curve.orientation}")
-    raise GeometryError(f"cannot serialize {type(curve).__name__}")
-

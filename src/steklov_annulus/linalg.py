@@ -69,7 +69,8 @@ def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
     if not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"order must be a permutation of range({n})")
-    position = np.empty(n, dtype=np.int64)  # vertex v is eliminated at step position[v]
+    # vertex v is eliminated at step position[v]; int32 halves the triplet indices
+    position = np.empty(n, dtype=np.int32)
     position[order] = np.arange(n)
     mbb = sp.csc_matrix(boundary_mass)
     k, mb = stiffness.tocoo(), mbb.tocoo()

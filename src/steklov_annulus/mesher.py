@@ -74,8 +74,6 @@ def radial_grading(inner_radius):
 def _radial_fractions(n_radial, grading):
     """Blend fractions s_0=0 .. s_{N_r}=1; layer widths grow geometrically
     away from the inner boundary when grading > 1."""
-    if grading == 1.0:
-        return np.arange(n_radial + 1) / n_radial
     widths = grading ** np.arange(n_radial)
     s = np.concatenate([[0.0], np.cumsum(widths)])
     return s / s[-1]
@@ -164,29 +162,3 @@ def _signed_areas(verts, tris):
     p = verts[tris]
     return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-
-
-def _loop_length(verts, loop):
-    pts = verts[loop]
-    return float(np.sum(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)))
-
-
-def mesh_metrics(mesh: Mesh) -> dict:
-    """Per-triangle quality and polygonal boundary lengths."""
-    p = mesh.vertices[mesh.triangles]
-    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
-    lengths = np.linalg.norm(e, axis=2)
-    # interior angle at vertex i is between edges e_{i-1} and e_i reversed
-    angles = np.empty_like(lengths)
-    for i in range(3):
-        u = -e[:, (i + 2) % 3]
-        v = e[:, i]
-        cosang = np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        angles[:, i] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    return {
-        "min_angle": float(angles.min()),
-        "max_aspect": float((lengths.max(axis=1) / lengths.min(axis=1)).max()),
-        "boundary_length_inner": _loop_length(mesh.vertices, mesh.inner_loop),
-        "boundary_length_outer": _loop_length(mesh.vertices, mesh.outer_loop),
-    }
-

@@ -36,7 +36,6 @@ class ShapeDerivError(ValueError):
 @dataclass(frozen=True)
 class ShapeDerivMatrix:
     entries: np.ndarray  # (m, m) symmetric
-    context: str
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -60,7 +59,6 @@ class AnnulusCoeffs:
     c2: float
     c3: float
     lam: float
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -68,9 +66,6 @@ class NormalizedDerivResult:
     """Eigenvalues of |∂Ω|·M + K(V)·λ·Id (derivatives of λᵢ·|∂Ω_t|)."""
 
     derivatives: np.ndarray
-    perimeter: float
-    perimeter_derivative: float
-    lam: float
 
     def __post_init__(self):
         self.derivatives.setflags(write=False)
@@ -106,7 +101,7 @@ def ball_matrix(dim: int, radius: float, beta: float,
         [mean_term - c * r3 * cos2, -c * r3 * sincos],
         [-c * r3 * sincos, mean_term - c * r3 * sin2],
     ])
-    return ShapeDerivMatrix(entries=m, context=f"Ball(dim={dim}, R={radius}, beta={beta})")
+    return ShapeDerivMatrix(entries=m)
 
 
 def _inner_coeffs(pair: analytic.CoeffPair) -> AnnulusCoeffs:
@@ -115,7 +110,7 @@ def _inner_coeffs(pair: analytic.CoeffPair) -> AnnulusCoeffs:
     p = pair.a_k - pair.a_mk / eps ** 2         # radial-derivative factor on r = ε
     c2 = q * q / eps
     c3 = (q * q * lam / eps - p * p) * eps
-    return AnnulusCoeffs(c1=c3 - c2, c2=c2, c3=c3, lam=lam, eps=eps)
+    return AnnulusCoeffs(c1=c3 - c2, c2=c2, c3=c3, lam=lam)
 
 
 def annulus_coeffs(eps: float) -> AnnulusCoeffs:
@@ -167,11 +162,8 @@ def annulus_matrices(eps: float, field_inner: PerturbationField,
     if field_inner.target != INNER or field_outer.target != OUTER:
         raise ShapeDerivError("field targets must be (inner, outer)")
     pair = analytic.solve_coeffs(eps, 1, 0.0, "minus")
-    m = ShapeDerivMatrix(entries=_inner_matrix(_inner_coeffs(pair), field_inner),
-                         context=f"AnnulusInner(eps={eps})")
-    mt = ShapeDerivMatrix(entries=_outer_matrix(pair, field_outer),
-                          context=f"AnnulusOuter(eps={eps})")
-    return m, mt
+    return (ShapeDerivMatrix(entries=_inner_matrix(_inner_coeffs(pair), field_inner)),
+            ShapeDerivMatrix(entries=_outer_matrix(pair, field_outer)))
 
 
 def split_radial(eps: float, field: PerturbationField):
@@ -186,11 +178,8 @@ def split_radial(eps: float, field: PerturbationField):
     radial_only = PerturbationField(radial=field.radial, target=INNER)
     osc_only = PerturbationField(radial=0.0, cos_coeffs=field.cos_coeffs,
                                  sin_coeffs=field.sin_coeffs, target=INNER)
-    m_r = ShapeDerivMatrix(entries=_inner_matrix(coeffs, radial_only),
-                           context=f"AnnulusInnerRadial(eps={eps})")
-    m_nr = ShapeDerivMatrix(entries=_inner_matrix(coeffs, osc_only),
-                            context=f"AnnulusInnerOscillatory(eps={eps})")
-    return m_r, m_nr
+    return (ShapeDerivMatrix(entries=_inner_matrix(coeffs, radial_only)),
+            ShapeDerivMatrix(entries=_inner_matrix(coeffs, osc_only)))
 
 
 def perimeter_derivative(curve: BoundaryCurve, field: PerturbationField) -> float:
@@ -212,9 +201,7 @@ def normalized_derivative(matrix: ShapeDerivMatrix, perimeter: float,
                           perimeter_deriv: float, lam: float) -> NormalizedDerivResult:
     """Derivatives of the branches of λ·|∂Ω_t|: eig(|∂Ω|·M + K·λ·Id)."""
     shifted = perimeter * matrix.entries + perimeter_deriv * lam * np.eye(matrix.order)
-    return NormalizedDerivResult(derivatives=np.linalg.eigvalsh(shifted),
-                                 perimeter=perimeter,
-                                 perimeter_derivative=perimeter_deriv, lam=lam)
+    return NormalizedDerivResult(derivatives=np.linalg.eigvalsh(shifted))
 
 
 @dataclass(frozen=True)
@@ -223,7 +210,6 @@ class BranchDerivatives:
 
     eigenvalue_derivs: np.ndarray     # ascending
     normalized_derivs: np.ndarray     # d(λᵢ·|∂Ω_t|)/dt, same branch order
-    step: float
 
     def __post_init__(self):
         self.eigenvalue_derivs.setflags(write=False)
@@ -251,12 +237,13 @@ def _perturbed_inner(curve: Circle, field: PerturbationField, t: float) -> Bound
 
 def fd_branch_oracle(domain: AnnularDomain, field: PerturbationField, step: float,
                      n_theta: int = 256, n_radial: int = 24,
-                     grading: float = 1.0, overlap_tol: float = 0.9) -> BranchDerivatives:
+                     grading: float = 1.0) -> BranchDerivatives:
     """Central differences of the two nontrivial eigenvalue branches.
 
     Solves the FEM problem on domains displaced by ±step along the field,
     matches branches by boundary-trace overlap (sorted order fails when the
     split branches cross t = 0), and differences both λᵢ and λᵢ·|∂Ω_t|.
+    A pairing whose weaker overlap is below 0.9 counts as ambiguous.
     """
     if field.target != INNER:
         raise ShapeDerivError("finite-difference oracle supports inner-boundary fields only")
@@ -281,7 +268,7 @@ def fd_branch_oracle(domain: AnnularDomain, field: PerturbationField, step: floa
 
     lam_p = plus.eigenvalues[1:3]
     lam_m = minus.eigenvalues[1:3]
-    if perm[0] == perm[1] or overlap.max(axis=1).min() < overlap_tol:
+    if perm[0] == perm[1] or overlap.max(axis=1).min() < 0.9:
         gap_p = abs(lam_p[1] - lam_p[0]) / max(abs(lam_p[0]), 1e-300)
         gap_m = abs(lam_m[1] - lam_m[0]) / max(abs(lam_m[0]), 1e-300)
         if gap_p < 1e-6 and gap_m < 1e-6:
@@ -294,18 +281,17 @@ def fd_branch_oracle(domain: AnnularDomain, field: PerturbationField, step: floa
     d_norm = (lam_p * per_plus - lam_m[perm] * per_minus) / (2.0 * step)
     order = np.argsort(d_lam)
     return BranchDerivatives(eigenvalue_derivs=d_lam[order],
-                             normalized_derivs=d_norm[order], step=step)
+                             normalized_derivs=d_norm[order])
 
 
-def consistency_triangle(eps: float, n_theta: int = 256, n_radial: int = 24,
-                         step: float = 1e-3) -> dict:
+def consistency_triangle(eps: float, n_theta: int = 256, n_radial: int = 24) -> dict:
     """Three routes to the radial derivative of λ₁·|∂Ω_t| at a concentric annulus.
 
     Route 1: central difference of the closed-form curve E (scaled by
     dε/dt = −1 for unit inward radial transport).  Route 2: the matrix
     formula |∂Ω|·M + K·λ·Id on the radial field.  Route 3: the FEM
-    finite-difference oracle.  Returns all three plus pairwise relative
-    mismatches.
+    finite-difference oracle with step 1e-3.  Returns all three plus
+    pairwise relative mismatches.
     """
     h = 1e-7
     analytic_route = -(analytic.normalized_first(eps + h)
@@ -321,7 +307,7 @@ def consistency_triangle(eps: float, n_theta: int = 256, n_radial: int = 24,
 
     domain = AnnularDomain(outer=Circle(orientation=OUTER, radius=1.0),
                            inner=Circle(orientation=INNER, radius=eps))
-    fd = fd_branch_oracle(domain, field, step, n_theta=n_theta,
+    fd = fd_branch_oracle(domain, field, 1e-3, n_theta=n_theta,
                           n_radial=n_radial, grading=radial_grading(eps))
     fd_route = float(np.mean(fd.normalized_derivs))
 

@@ -7,7 +7,7 @@ from steklov_annulus.geometry import (INNER, OUTER, TWO_PI, AnnularDomain,
                                       Circle, CosinePerturbedCircle,
                                       GeometryError, PerturbationField,
                                       amplitude_for_perimeter,
-                                      cosine_length_surrogate, curve_to_record)
+                                      cosine_length_surrogate)
 
 
 class TestCircle:
@@ -17,18 +17,6 @@ class TestCircle:
         pts = c.point_at(theta)
         radii = np.linalg.norm(pts - [0.5, -0.25], axis=1)
         np.testing.assert_allclose(radii, 2.0, rtol=1e-14)
-
-    def test_outer_normal_points_away_from_center(self):
-        c = Circle(radius=1.5, orientation=OUTER)
-        theta = np.linspace(0, TWO_PI, 40)
-        n = c.outward_normal_at(theta)
-        radial = c.point_at(theta) / 1.5
-        np.testing.assert_allclose(n, radial, atol=1e-13)
-
-    def test_inner_normal_points_toward_center(self):
-        c = Circle(radius=0.3, orientation=INNER)
-        n = c.outward_normal_at(0.0)
-        np.testing.assert_allclose(n, [-1.0, 0.0], atol=1e-14)
 
     def test_curvature_signs(self):
         assert Circle(radius=2.0, orientation=OUTER).curvature_at(1.0) == pytest.approx(0.5)
@@ -118,14 +106,3 @@ class TestPerturbationField:
     def test_mismatched_coefficient_lengths_rejected(self):
         with pytest.raises(GeometryError):
             PerturbationField(cos_coeffs=(1.0,), sin_coeffs=())
-
-
-class TestCurveRecord:
-    def test_exact_records(self):
-        # 17 significant digits, so every float reads back to the same value
-        assert curve_to_record(Circle(center=(0.1, -0.2), radius=0.37, orientation=INNER)) == (
-            "kind=circle center=0.10000000000000001,-0.20000000000000001 radius=0.37 "
-            "orientation=inner")
-        assert curve_to_record(CosinePerturbedCircle(a=0.05, k=7, b=0.3, orientation=INNER)) == (
-            "kind=cosine center=0,0 a=0.050000000000000003 k=7 b=0.29999999999999999 "
-            "orientation=inner")
