@@ -45,18 +45,6 @@ def steklov_eig(eps: float, n: int, branch: str) -> float:
     return 2.0 * n / (eps * (p + root))
 
 
-def coeff_system_residual(eps, k, beta, lam, a_k, a_mk):
-    """Residuals of the two linear equations the harmonic coefficients satisfy.
-
-    Row 1 collects the boundary condition on the outer circle, row 2 on the
-    inner circle (with its powers of ε exactly as used throughout).
-    """
-    r1 = a_k * (beta * k * k + k - lam) + a_mk * (beta * k * k - k - lam)
-    r2 = (a_k * (beta * k * k * eps ** (k - 2) - k * eps ** (k - 1) - lam * eps ** k)
-          + a_mk * (beta * k * k * eps ** (-k - 2) + k * eps ** (-k - 1) - lam * eps ** (-k)))
-    return r1, r2
-
-
 def _char_poly(eps, k, beta):
     """Quadratic aλ² + bλ + c whose roots make the 2×2 system singular."""
     # row entries are linear in λ: entry = p - q·λ

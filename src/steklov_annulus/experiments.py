@@ -4,6 +4,12 @@ tables, the shape-derivative cross-checks and the critical-radius report.
 Reference values from an independent solver are embedded as golden data;
 per-table absolute tolerances absorb inter-solver discretization
 differences (0.02-0.03 for circular holes, 0.05 for perturbed ones).
+
+A translation table solves 5 of its 9 rows: the Steklov spectrum is
+invariant under isometries, and the hole at offset +d is the mirror image
+of the hole at −d, so the rows at d > 0 repeat the solved rows at −d
+(`_mirror`, which also builds the references).  `jobs` spreads those 5
+solves over worker processes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from .mesher import radial_grading
 EPS0 = 0.146721  # critical inner radius, 6 digits
 
 # Golden values: first normalized eigenvalue 2π(1+ε)λ₁ for an inner circle
-# translated along the x-axis (by d) or along y=-x (center (-d, d)).
+# translated along the x-axis (by d) or along y=-x (center (-d, d)), at
+# d = -0.4 … 0; `_mirror` supplies d = 0.1 … 0.4.
 _X_AXIS_VALUES = {
     0.3:      [5.5724, 5.8231, 5.9960, 6.0987, 6.1328],
     EPS0:     [6.4759, 6.6169, 6.7208, 6.7848, 6.8064],
@@ -45,13 +52,15 @@ TRANSLATION_TABLES = {
     6: (0.08, "diagonal"),
 }
 
-# cosine-perturbed inner boundaries of matched surrogate perimeter 2πε₀:
-# frequency -> (amplitude, golden normalized value)
+# Cosine-perturbed inner boundaries r = a·cos(kθ) + ε₀ whose surrogate
+# ∫(r² + r′²)dθ is 2πε₀ (`amplitude_for_perimeter`): frequency k -> golden
+# 2π(1+ε₀)λ₁.  The factor is the stated constant, not the true perimeter,
+# which the wiggled holes lengthen (descriptor `inner_arclen`).
 PERTURBED_TABLE = {
-    5: (0.0981, 6.0338),
-    10: (0.0497, 6.3146),
-    20: (0.0249, 6.4700),
-    50: (0.01, 6.5698),
+    5: 6.0338,
+    10: 6.3146,
+    20: 6.4700,
+    50: 6.5698,
 }
 
 DEFAULT_NTHETA = 512
@@ -89,10 +98,16 @@ def translation_centers(table):
     return eps, centers
 
 
+def _mirror(half):
+    """All nine rows of a translation table from the five with d ≤ 0: the
+    row at +d is the mirror image of the row at −d, so the rows are
+    symmetric about the centred one."""
+    return half + half[-2::-1]
+
+
 def translation_references(table):
     eps, direction = TRANSLATION_TABLES[table]
-    half = (_X_AXIS_VALUES if direction == "x-axis" else _DIAGONAL_VALUES)[eps]
-    return half + half[-2::-1]  # symmetric about the centered row
+    return _mirror((_X_AXIS_VALUES if direction == "x-axis" else _DIAGONAL_VALUES)[eps])
 
 
 def _solve_translation_row(args):
@@ -127,11 +142,15 @@ def _map_rows(worker, arglist, jobs):
 
 def run_translation_table(table, n_theta=DEFAULT_NTHETA, n_radial=DEFAULT_NR,
                           tolerance=None, jobs=1):
-    """ResultRows for one of the six circle-translation tables."""
+    """ResultRows for one of the six circle-translation tables.
+
+    Only the five centres with d ≤ 0 are solved; each row at d > 0 takes the
+    value of its mirror image at −d, as the references do.
+    """
     eps, centers = translation_centers(table)
     refs = translation_references(table)
-    arglist = [(eps, c, n_theta, n_radial) for c in centers]
-    values = _map_rows(_solve_translation_row, arglist, jobs)
+    arglist = [(eps, c, n_theta, n_radial) for c in centers[:_OFFSETS.index(0.0) + 1]]
+    values = _mirror(_map_rows(_solve_translation_row, arglist, jobs))
     rows = []
     for center, value, ref in zip(centers, values, refs):
         tol = tolerance
@@ -162,7 +181,7 @@ def run_perturbed_table(n_theta=DEFAULT_NTHETA, n_radial=DEFAULT_NR,
         rows.append(ResultRow(
             experiment="table7",
             descriptor=f"k={freq} a={amplitude:.4f} inner_arclen={true_len:.6f}",
-            computed=value, reference=PERTURBED_TABLE[freq][1], tolerance=tolerance))
+            computed=value, reference=PERTURBED_TABLE[freq], tolerance=tolerance))
     return rows
 
 

@@ -149,19 +149,13 @@ class CosinePerturbedCircle(BoundaryCurve):
         return -self.a * self.k * self.k * np.cos(self.k * theta)
 
 
-def cosine_length_surrogate(a, b, k):
-    """Closed form of ∫₀^{2π} (r² + r'²) dθ for r = a·cos(kθ) + b.
-
-    This is the quantity the perimeter-matched amplitude solves against; it
-    is *not* the true arc length ∫√(r² + r'²) dθ (the two agree only in the
-    circle limit a = 0).  Both are provided so the discrepancy on the
-    perturbed domains is measurable.
-    """
-    return a * a * math.pi + 2.0 * math.pi * b * b + a * a * k * k * math.pi
-
-
 def amplitude_for_perimeter(k, eps, b):
-    """Positive amplitude a with cosine_length_surrogate(a, b, k) = 2πε."""
+    """Positive amplitude a of r = a·cos(kθ) + b with surrogate
+    ∫₀^{2π} (r² + r′²) dθ = π·a²·(1 + k²) + 2π·b² equal to 2πε.
+
+    The surrogate is *not* the true arc length ∫√(r² + r′²) dθ; the two
+    agree only in the circle limit a = 0.
+    """
     disc = 2.0 * (eps - b * b) / (1.0 + k * k)
     if disc < 0:
         raise GeometryError(f"no real amplitude: need eps >= b^2 (eps={eps}, b={b})")

@@ -61,7 +61,9 @@ def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
     boundary_dofs order and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are
     computed (at most n_b − 1, ARPACK's limit on the boundary pencil), so
     both copies of a double eigenvalue at the end of the requested range come
-    back.
+    back: Lanczos finds the second copy only through round-off and locking,
+    and asked for exactly `count` pairs it can return the next eigenvalue in
+    its place.
     """
     boundary_dofs = np.asarray(boundary_dofs, dtype=np.int64)
     n, nb = stiffness.shape[0], len(boundary_dofs)

@@ -134,7 +134,9 @@ def test_criterion_8_local_dominance_of_concentric_configuration(
         translation_rows, perturbed_rows):
     """Property-based stand-in for the (unproven) global claim: the
     concentric critical annulus dominates every tested translation and
-    perturbation."""
+    perturbation.  Table 7's rows are λ₁ times the stated constant
+    2π(1+ε₀), not times the true perimeter, which the wiggled holes
+    lengthen; the dominance here holds for that constant only."""
     best = analytic.normalized_first(analytic.find_eps0().root)
     for row in translation_rows + perturbed_rows:
         # the centered rows at the critical radius *are* the concentric

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from steklov_annulus import analytic
-from steklov_annulus.analytic import (AnalyticError, CoeffPair, coeff_system_residual,
-                                      critical_poly, find_eps0, normalized_first,
-                                      solve_coeffs, steklov_eig)
+from steklov_annulus.analytic import (AnalyticError, CoeffPair, critical_poly, find_eps0,
+                                      normalized_first, solve_coeffs, steklov_eig)
 
 TWO_PI = 2.0 * math.pi
 EPS2_PRINTED = (-3.0 + math.sqrt(13.0)) / 2.0   # where E(ε)=2π is claimed to hold
 EPS2_ACTUAL = (-3.0 + math.sqrt(17.0)) / 4.0    # where E(ε)=2π actually holds
+
+
+def coeff_system_residual(eps, k, beta, lam, a_k, a_mk):
+    """Residuals of the two linear equations the harmonic coefficients satisfy.
+
+    Row 1 collects the boundary condition on the outer circle, row 2 on the
+    inner circle (with its powers of ε exactly as used throughout).
+    """
+    r1 = a_k * (beta * k * k + k - lam) + a_mk * (beta * k * k - k - lam)
+    r2 = (a_k * (beta * k * k * eps ** (k - 2) - k * eps ** (k - 1) - lam * eps ** k)
+          + a_mk * (beta * k * k * eps ** (-k - 2) + k * eps ** (-k - 1) - lam * eps ** (-k)))
+    return r1, r2
 
 
 class TestSpectrum:

@@ -130,6 +130,15 @@ class TestOutputs:
         assert len(serial.splitlines()) == 4  # header + three radii
         assert serial == (tmp_path / "2" / "fd-check.csv").read_bytes()
 
+    def test_table_jobs_do_not_change_output(self, tmp_path, capsys):
+        """--jobs spreads the five solved rows; the mirrored rows follow."""
+        for jobs in ("1", "2"):
+            cli.main(["--out", str(tmp_path / jobs), "--ntheta", "32", "--nr", "4",
+                      "--jobs", jobs, "table", "4"])
+        serial = (tmp_path / "1" / "table4.csv").read_bytes()
+        assert len(serial.splitlines()) == 10  # header + 9 centers
+        assert serial == (tmp_path / "2" / "table4.csv").read_bytes()
+
 
 class TestDefaultTolerances:
     """Without --tolerance each runner applies its own default."""

@@ -1,0 +1,34 @@
+import pytest
+
+from steklov_annulus import experiments
+from steklov_annulus.experiments import (TRANSLATION_TABLES, _solve_translation_row,
+                                         run_translation_table, translation_centers)
+
+
+@pytest.mark.parametrize("table", sorted(TRANSLATION_TABLES))
+def test_translation_table_solves_five_rows(table, monkeypatch):
+    """Only the centres with d ≤ 0 are solved: the centred row and one row
+    of each mirror pair.  The other four rows are their mirror images."""
+    real_solve = experiments.solve_domain
+    calls = []
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args[0].inner.center)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_domain", counted_solve)
+    rows = run_translation_table(table, 64, 8)
+    assert len(rows) == 9
+    assert calls == translation_centers(table)[1][:5]
+
+
+@pytest.mark.parametrize("table", sorted(TRANSLATION_TABLES))
+def test_mirrored_rows_match_their_own_solve(table):
+    """Every row's value equals a direct solve at that row's own centre, so
+    each mirrored row sits opposite the row it copies."""
+    eps, centers = translation_centers(table)
+    rows = run_translation_table(table, 64, 8)
+    for center, row in zip(centers, rows):
+        assert row.descriptor == f"center=({center[0]:g},{center[1]:g})"
+        direct = _solve_translation_row((eps, center, 64, 8))
+        assert row.computed == pytest.approx(direct, rel=1e-10, abs=0.0)

@@ -6,8 +6,13 @@ import pytest
 from steklov_annulus.geometry import (INNER, OUTER, TWO_PI, AnnularDomain,
                                       Circle, CosinePerturbedCircle,
                                       GeometryError, PerturbationField,
-                                      amplitude_for_perimeter,
-                                      cosine_length_surrogate)
+                                      amplitude_for_perimeter)
+
+
+def cosine_length_surrogate(a, b, k):
+    """Closed form of ∫₀^{2π} (r² + r'²) dθ for r = a·cos(kθ) + b, the
+    quantity `amplitude_for_perimeter` solves against."""
+    return a * a * math.pi + 2.0 * math.pi * b * b + a * a * k * k * math.pi
 
 
 class TestCircle:
