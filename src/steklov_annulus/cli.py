@@ -10,6 +10,7 @@ when the eigensolver fails.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -83,19 +84,18 @@ def resolve_settings(args):
         raise ConfigError(f"resolution too small: ntheta={settings['ntheta']} nr={settings['nr']}")
     if settings["jobs"] < 1:
         raise ConfigError(f"jobs must be >= 1, got {settings['jobs']}")
-    if settings["tolerance"] is not None and settings["tolerance"] <= 0:
-        raise ConfigError(f"tolerance must be positive, got {settings['tolerance']}")
+    tol = settings["tolerance"]
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
     return settings
 
 
 def _append_summary(out_dir, rows):
     path = out_dir / "summary.csv"
     fresh = not path.exists()
+    text = experiments.rows_to_csv(rows)
     with path.open("a") as fh:
-        if fresh:
-            fh.write("experiment,descriptor,computed,reference,deviation,tolerance,status\n")
-        body = experiments.rows_to_csv(rows)
-        fh.write(body.split("\n", 1)[1])
+        fh.write(text if fresh else text.split("\n", 1)[1])
     return path
 
 

@@ -99,7 +99,7 @@ def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
     """`count` smallest Steklov eigenpairs of the assembled system."""
     eigenvalues, vectors = steklov_eigs(system.stiffness, system.boundary_mass,
                                         system.boundary_dofs, count,
-                                        system.mesh.elimination_order)
+                                        system.mesh.elimination_steps)
 
     # deterministic sign: boundary value at θ=0 on the outer loop >= 0; the
     # outer loop follows the inner one in boundary_dofs

@@ -15,11 +15,12 @@ Lanczos iteration runs on the symmetric boundary pencil
 M_bb·G·M_bb·w = μ·M_bb·w, vectors of length n_b; each application of G is
 one solve with a single sparse LU of K + M_∂, right-hand side scattered onto
 the boundary.  No dense operator is formed.
-K + M_∂ is assembled directly in the elimination order the caller passes and
-factored in exactly that order (SuperLU's NATURAL ordering of the permuted
-matrix, diagonal pivots).  For the structured annular meshes that order is
-the minimum-degree order of the resolution's union stencil, computed once
-per (N_θ, N_r) in `mesher`; this module makes no ordering choice itself.
+K + M_∂ is assembled directly in the elimination order the caller passes,
+as the elimination step of each vertex, and factored in exactly that order
+(SuperLU's NATURAL ordering of the permuted matrix, diagonal pivots).  For
+the structured annular meshes that order is the minimum-degree order of the
+resolution's union stencil, computed once per (N_θ, N_r) in `mesher`; this
+module makes no ordering choice itself.
 One more block solve lifts the converged traces w to full vertex vectors
 u = (K + M_∂)⁻¹·E·M_bb·w/μ, on which every pair is checked against
 RESIDUAL_BOUND: K·u − λ·M_∂·u = (1/μ)·E·M_bb·(w − Eᵀu) is the boundary
@@ -49,16 +50,17 @@ class EigensolveError(ValueError):
 
 
 def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
-                 boundary_dofs, count: int, order):
+                 boundary_dofs, count: int, elimination_steps):
     """`count` smallest eigenpairs of K·u = λ·M_∂·u.
 
-    boundary_mass is indexed by position in boundary_dofs.  order is the
-    elimination order of K + M_∂, a permutation of range(n) whose k-th entry
-    is the vertex eliminated k-th (`Mesh.elimination_order`); K + M_∂ is
-    factored in that order and no other.  Any permutation gives the same
-    pairs up to round-off; only fill and speed depend on it.  Returns the
-    ascending eigenvalues and the boundary traces as columns, in
-    boundary_dofs order and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are
+    boundary_mass is indexed by position in boundary_dofs.
+    elimination_steps is the elimination order of K + M_∂, a permutation of
+    range(n) whose entry v is the step at which vertex v is eliminated
+    (`Mesh.elimination_steps`); K + M_∂ is factored in that order and no
+    other.  Any permutation gives the same pairs up to round-off; only fill
+    and speed depend on it.  Returns the ascending eigenvalues and the
+    boundary traces as columns, in boundary_dofs order and normalized to
+    vᵀ·M_∂·v = 1.  Count + 1 pairs are
     computed (at most n_b − 1, ARPACK's limit on the boundary pencil), so
     both copies of a double eigenvalue at the end of the requested range come
     back: Lanczos finds the second copy only through round-off and locking,
@@ -69,11 +71,10 @@ def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
     n, nb = stiffness.shape[0], len(boundary_dofs)
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
-    if not np.array_equal(np.sort(order), np.arange(n)):
+    if not np.array_equal(np.sort(elimination_steps), np.arange(n)):
         raise ValueError(f"order must be a permutation of range({n})")
     # vertex v is eliminated at step position[v]; int32 halves the triplet indices
-    position = np.empty(n, dtype=np.int32)
-    position[order] = np.arange(n)
+    position = np.asarray(elimination_steps, dtype=np.int32)
     mbb = sp.csc_matrix(boundary_mass)
     k, mb = stiffness.tocoo(), mbb.tocoo()
     # P·(K + M_∂)·Pᵀ in one COO → CSC step, which sums the duplicates

@@ -7,11 +7,11 @@ the finite-difference shape-gradient checks rely on.
 
 The vertex numbering depends on (N_θ, N_r) alone, and so does the graph of
 K + M_∂ up to the diagonal each quad takes.  Its fill-reducing elimination
-order is therefore computed once per resolution and process
-(`Mesh.elimination_order`): SciPy's minimum-degree ordering of the union
-stencil, in which every quad carries both diagonals.  That graph contains
-the stiffness graph of every mesh of the resolution, and the boundary-mass
-couplings are quad edges.
+order is therefore computed once per resolution and process, as the step at
+which each vertex is eliminated (`Mesh.elimination_steps`): SciPy's
+minimum-degree ordering of the union stencil, in which every quad carries
+both diagonals.  That graph contains the stiffness graph of every mesh of
+the resolution, and the boundary-mass couplings are quad edges.
 """
 
 from __future__ import annotations
@@ -58,10 +58,11 @@ class Mesh:
         return np.concatenate([self.inner_loop, self.outer_loop])
 
     @property
-    def elimination_order(self):
+    def elimination_steps(self):
         """Fill-reducing elimination order of K + M_∂ at this resolution:
-        entry k is the vertex eliminated k-th.  Cached, read-only."""
-        return _elimination_order(self.n_theta, self.n_radial)
+        entry v is the step at which vertex v is eliminated.  Cached,
+        read-only."""
+        return _elimination_steps(self.n_theta, self.n_radial)
 
 
 def radial_grading(inner_radius):
@@ -134,8 +135,8 @@ def _quad_corners(n_theta, n_radial):
 
 
 @functools.lru_cache(maxsize=16)
-def _elimination_order(n_theta, n_radial):
-    """Minimum-degree elimination order of the union stencil.
+def _elimination_steps(n_theta, n_radial):
+    """Minimum-degree elimination step of each vertex of the union stencil.
 
     SuperLU's MMD ordering of A + Aᵀ, read off one factorization of a
     diagonally dominant, hence SPD, matrix whose graph joins all four
@@ -151,11 +152,12 @@ def _elimination_order(n_theta, n_radial):
     spd = sp.csc_matrix((np.concatenate([-np.ones(2 * len(p)), degree + 1.0]),
                          (np.concatenate([p, q, diag]), np.concatenate([q, p, diag]))),
                         shape=(n, n))
-    perm_c = splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True}).perm_c
-    order = np.argsort(perm_c)  # perm_c[v] is the step at which v is eliminated
-    order.setflags(write=False)
-    return order
+    # perm_c[v] is the step at which v is eliminated; perm_c is a view into
+    # the factor, so the cache keeps a copy and lets the factor go
+    steps = splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                 options={"SymmetricMode": True}).perm_c.copy()
+    steps.setflags(write=False)
+    return steps
 
 
 def _signed_areas(verts, tris):

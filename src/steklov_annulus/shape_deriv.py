@@ -1,9 +1,10 @@
 """Shape-derivative matrices for eigenvalue branches and their validation.
 
 For a multiple eigenvalue the branch derivatives under a normal field V_n
-are the eigenvalues of a small symmetric matrix built from boundary
-integrals of the eigenfunctions.  On the concentric annulus all entries
-reduce to exact trigonometric integrals of the band-limited field, so the
+are the eigenvalues of the matrix of the boundary integrand
+V_n(∇_τu_j·∇_τu_k − ∂_nu_j∂_nu_k − λHu_ju_k) over the eigenspace.  On a
+circle, for a (cos θ, sin θ) pair, it is one 2×2 form in two coefficients
+(t, n) and exact trigonometric integrals of the band-limited field, so the
 matrices here are quadrature-free.  So is the perimeter term ∫H·V_n dσ of
 the normalized derivative, which is defined on circles only.  A
 finite-difference oracle re-solves the FEM problem on perturbed domains to
@@ -53,12 +54,16 @@ class ShapeDerivMatrix:
 
 @dataclass(frozen=True)
 class AnnulusCoeffs:
-    """Inner-boundary integrand coefficients for the first eigenvalue pair."""
+    """Inner-circle coefficients (t, n) = (C₂, C₃) of the first eigenvalue pair."""
 
-    c1: float
     c2: float
     c3: float
     lam: float
+
+    @property
+    def c1(self):
+        """Cross coefficient C₁ = C₃ − C₂."""
+        return self.c3 - self.c2
 
 
 @dataclass(frozen=True)
@@ -72,87 +77,66 @@ class NormalizedDerivResult:
 
 
 def _trig_integrals(field: PerturbationField):
-    """Exact ∫V dθ, ∫V cos²θ dθ, ∫V sin²θ dθ, ∫V sinθcosθ dθ."""
+    """Exact ∫V cos²θ dθ, ∫V sin²θ dθ, ∫V sinθcosθ dθ."""
     a2 = field.cos_coeffs[1] if field.n_modes >= 2 else 0.0
     b2 = field.sin_coeffs[1] if field.n_modes >= 2 else 0.0
-    total = TWO_PI * field.radial
     cos2 = math.pi * field.radial + 0.5 * math.pi * a2
     sin2 = math.pi * field.radial - 0.5 * math.pi * a2
     sincos = 0.5 * math.pi * b2
-    return total, cos2, sin2, sincos
+    return cos2, sin2, sincos
+
+
+def _pair_matrix(t: float, n: float, field: PerturbationField) -> ShapeDerivMatrix:
+    """Branch-derivative matrix of the pair (f(r)·cosθ, f(r)·sinθ) on one circle.
+
+    The integrand times dσ is V_n·(t·sin²θ + n·cos²θ)·dθ for j = k = 1,
+    V_n·(t·cos²θ + n·sin²θ)·dθ for j = k = 2 and V_n·(n − t)·sinθcosθ·dθ
+    off the diagonal: t is the tangential, n the normal and curvature term.
+    """
+    cos2, sin2, sincos = _trig_integrals(field)
+    return ShapeDerivMatrix(entries=np.array([
+        [t * sin2 + n * cos2, (n - t) * sincos],
+        [(n - t) * sincos, n * sin2 + t * cos2],
+    ]))
+
+
+def _circle_coeffs(pair: analytic.CoeffPair, r: float, curvature: float):
+    """(t, n) of `_pair_matrix` on the circle of radius r and curvature H.
+
+    With f(r) = A·r + A₋/r, q = f(r) and p = f′(r): dσ = r·dθ,
+    |∇_τu| = |∂_θu|/r and |∂_nu| = |∂_ru|, so t = q²/r and
+    n = −r·(p² + λ·H·q²).
+    """
+    q = pair.a_k * r + pair.a_mk / r
+    p = pair.a_k - pair.a_mk / r ** 2
+    return q * q / r, -r * (p * p + pair.lam * curvature * q * q)
 
 
 def ball_matrix(dim: int, radius: float, beta: float,
                 field: PerturbationField) -> ShapeDerivMatrix:
     """Branch-derivative matrix of the first multiple eigenvalue on a ball.
 
-    M_jk = δ_jk/(ω R^{n+1})·(1 + β(n−3)/R)·∫V_n − C(n,R)·∫V_n x_j x_k dσ
-    with C(n,R) = (n+1)(1 + β(n−2)/R)/(ω R^{n+3}); only the planar case
-    (dim = 2, ω = 2π) is supported, where the integrals are Fourier-exact.
+    Only the planar disk (dim = 2) of radius R with Wentzell parameter β is
+    supported: t = (1 − β/R)/(2πR²) and n = t − 3/(2πR²).
     """
     if dim != 2:
         raise ShapeDerivError(f"only the planar ball is supported, got dimension {dim}")
-    omega = TWO_PI
-    total, cos2, sin2, sincos = _trig_integrals(field)
-    mean_term = (1.0 + beta * (dim - 3) / radius) / (omega * radius ** (dim + 1)) * (radius * total)
-    c = (dim + 1) * (1.0 + beta * (dim - 2) / radius) / (omega * radius ** (dim + 3))
-    r3 = radius ** 3
-    m = np.array([
-        [mean_term - c * r3 * cos2, -c * r3 * sincos],
-        [-c * r3 * sincos, mean_term - c * r3 * sin2],
-    ])
-    return ShapeDerivMatrix(entries=m)
-
-
-def _inner_coeffs(pair: analytic.CoeffPair) -> AnnulusCoeffs:
-    eps, lam = pair.eps, pair.lam
-    q = pair.a_k * eps + pair.a_mk / eps        # boundary value factor on r = ε
-    p = pair.a_k - pair.a_mk / eps ** 2         # radial-derivative factor on r = ε
-    c2 = q * q / eps
-    c3 = (q * q * lam / eps - p * p) * eps
-    return AnnulusCoeffs(c1=c3 - c2, c2=c2, c3=c3, lam=lam)
+    t = (1.0 - beta / radius) / (TWO_PI * radius ** 2)
+    return _pair_matrix(t, t - 3.0 / (TWO_PI * radius ** 2), field)
 
 
 def annulus_coeffs(eps: float) -> AnnulusCoeffs:
-    """C-coefficients of the inner-boundary integrand, from the normalized
-    harmonic coefficients of the lower first-mode branch (β = 0)."""
-    return _inner_coeffs(analytic.solve_coeffs(eps, 1, 0.0, "minus"))
-
-
-def _inner_matrix(coeffs: AnnulusCoeffs, field: PerturbationField) -> np.ndarray:
-    """Branch-derivative integrand on the inner circle, exactly integrated.
-
-    Entries follow the general multiple-eigenvalue integrand
-    V_n(∇_τu_j·∇_τu_k − ∂_nu_j∂_nu_k − λHu_ju_k) specialized to the
-    cos/sin eigenfunction pair; the cross coefficient equals C₃ − C₂.
-    """
-    _, cos2, sin2, sincos = _trig_integrals(field)
-    c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
-    return np.array([
-        [c2 * sin2 + c3 * cos2, c1 * sincos],
-        [c1 * sincos, c3 * sin2 + c2 * cos2],
-    ])
-
-
-def _outer_matrix(pair: analytic.CoeffPair, field: PerturbationField) -> np.ndarray:
-    """Branch-derivative integrand on the outer unit circle (β = 0)."""
-    lam = pair.lam
-    q = pair.a_k + pair.a_mk          # boundary value factor on r = 1
-    p = pair.a_k - pair.a_mk          # radial-derivative factor on r = 1
-    _, cos2, sin2, sincos = _trig_integrals(field)
-    # dσ = dθ, H = +1, |∇_τ u|² = (∂_θ u)², ∂_n = +∂_r
-    d2 = q * q                        # tangential-gradient coefficient
-    d3 = -(p * p) - lam * q * q       # normal-derivative and curvature terms
-    return np.array([
-        [d2 * sin2 + d3 * cos2, (d3 - d2) * sincos],
-        [(d3 - d2) * sincos, d3 * sin2 + d2 * cos2],
-    ])
+    """Inner-circle coefficients of the lower first-mode branch (β = 0)."""
+    pair = analytic.solve_coeffs(eps, 1, 0.0, "minus")
+    c2, c3 = _circle_coeffs(pair, eps, -1.0 / eps)
+    return AnnulusCoeffs(c2=c2, c3=c3, lam=pair.lam)
 
 
 def annulus_matrices(eps: float, field_inner: PerturbationField,
                      field_outer: PerturbationField):
     """Inner- and outer-boundary branch-derivative matrices (M, M̃).
 
+    The inner circle has r = ε and H = −1/ε, the outer one r = 1 and H = 1.
     The branch derivatives of the double first eigenvalue are the
     eigenvalues of M + M̃ (orientation validated by the finite-difference
     oracle).
@@ -162,8 +146,8 @@ def annulus_matrices(eps: float, field_inner: PerturbationField,
     if field_inner.target != INNER or field_outer.target != OUTER:
         raise ShapeDerivError("field targets must be (inner, outer)")
     pair = analytic.solve_coeffs(eps, 1, 0.0, "minus")
-    return (ShapeDerivMatrix(entries=_inner_matrix(_inner_coeffs(pair), field_inner)),
-            ShapeDerivMatrix(entries=_outer_matrix(pair, field_outer)))
+    return (_pair_matrix(*_circle_coeffs(pair, eps, -1.0 / eps), field_inner),
+            _pair_matrix(*_circle_coeffs(pair, 1.0, 1.0), field_outer))
 
 
 def split_radial(eps: float, field: PerturbationField):
@@ -178,8 +162,8 @@ def split_radial(eps: float, field: PerturbationField):
     radial_only = PerturbationField(radial=field.radial, target=INNER)
     osc_only = PerturbationField(radial=0.0, cos_coeffs=field.cos_coeffs,
                                  sin_coeffs=field.sin_coeffs, target=INNER)
-    return (ShapeDerivMatrix(entries=_inner_matrix(coeffs, radial_only)),
-            ShapeDerivMatrix(entries=_inner_matrix(coeffs, osc_only)))
+    return (_pair_matrix(coeffs.c2, coeffs.c3, radial_only),
+            _pair_matrix(coeffs.c2, coeffs.c3, osc_only))
 
 
 def perimeter_derivative(curve: BoundaryCurve, field: PerturbationField) -> float:

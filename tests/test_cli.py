@@ -52,6 +52,10 @@ class TestConfig:
         args = cli.build_parser().parse_args(["--jobs", "0", "eps0"])
         with pytest.raises(cli.ConfigError):
             cli.resolve_settings(args)
+        for tolerance in ("nan", "inf", "-inf", "0"):
+            args = cli.build_parser().parse_args([f"--tolerance={tolerance}", "eps0"])
+            with pytest.raises(cli.ConfigError):
+                cli.resolve_settings(args)
 
 
 class TestExitCodes:
@@ -67,6 +71,14 @@ class TestExitCodes:
         code = cli.main(["--out", str(taken), "eps0"])
         assert code == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    def test_nan_tolerance_in_config_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("tolerance = nan\n")
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "eps0"])
+        assert code == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_eps0_passes(self, tmp_path, capsys):
         code = cli.main(["--out", str(tmp_path), "eps0"])

@@ -23,13 +23,13 @@ def annulus(radius, center=(0.0, 0.0)):
                          inner=Circle(radius=radius, center=center, orientation=INNER))
 
 
-def eigs(system, count, order=None):
+def eigs(system, count, steps=None):
     """steklov_eigs on an assembled system, in the mesh's elimination order
-    unless another is given."""
-    if order is None:
-        order = system.mesh.elimination_order
+    unless other elimination steps are given."""
+    if steps is None:
+        steps = system.mesh.elimination_steps
     return steklov_eigs(system.stiffness, system.boundary_mass, system.boundary_dofs,
-                        count, order)
+                        count, steps)
 
 
 def dense_dtn(system):
@@ -175,8 +175,8 @@ class TestEliminationOrder:
         n = eccentric.stiffness.shape[0]
         ref_lams, ref_vecs = eigs(eccentric, 6)
         assert np.all(np.diff(ref_lams) > 1e-3)  # simple; the closest pair is λ₃, λ₄
-        for order in (np.arange(n), np.random.default_rng(7).permutation(n)):
-            lams, vecs = eigs(eccentric, 6, order)
+        for steps in (np.arange(n), np.random.default_rng(7).permutation(n)):
+            lams, vecs = eigs(eccentric, 6, steps)
             assert abs(lams[0]) < 1e-10
             np.testing.assert_allclose(lams[1:], ref_lams[1:], rtol=1e-12, atol=0.0)
             vecs = vecs * np.sign(np.sum(vecs * ref_vecs, axis=0))
@@ -184,23 +184,26 @@ class TestEliminationOrder:
 
     def test_cached_order_is_one_fixed_permutation(self, eccentric):
         """One read-only permutation of the vertices per resolution, equal
-        across calls and in a fresh interpreter, so that runs repeat exactly."""
-        order = eccentric.mesh.elimination_order
-        np.testing.assert_array_equal(np.sort(order), np.arange(eccentric.stiffness.shape[0]))
-        assert not order.flags.writeable
-        assert build_annular_mesh(annulus(0.2), 32, 4).elimination_order is order
+        across calls and in a fresh interpreter, so that runs repeat exactly.
+        It owns its memory: a view of SuperLU's perm_c would keep the whole
+        union-stencil factor alive in the cache."""
+        steps = eccentric.mesh.elimination_steps
+        np.testing.assert_array_equal(np.sort(steps), np.arange(eccentric.stiffness.shape[0]))
+        assert not steps.flags.writeable
+        assert steps.base is None
+        assert build_annular_mesh(annulus(0.2), 32, 4).elimination_steps is steps
         env = dict(os.environ, PYTHONPATH=str(Path(mesher.__file__).resolve().parents[1]))
         fresh = subprocess.run(
-            [sys.executable, "-c", "from steklov_annulus.mesher import _elimination_order;"
-             " print(_elimination_order(32, 4).tolist())"],
+            [sys.executable, "-c", "from steklov_annulus.mesher import _elimination_steps;"
+             " print(_elimination_steps(32, 4).tolist())"],
             env=env, capture_output=True, text=True, check=True).stdout
-        assert fresh.strip() == str(order.tolist())
+        assert fresh.strip() == str(steps.tolist())
 
     def test_order_validation(self, eccentric):
         n = eccentric.stiffness.shape[0]
-        for order in (np.arange(n - 1), np.r_[0, np.arange(n - 1)]):
+        for steps in (np.arange(n - 1), np.r_[0, np.arange(n - 1)]):
             with pytest.raises(ValueError, match="permutation"):
-                eigs(eccentric, 3, order)
+                eigs(eccentric, 3, steps)
 
     def test_no_factor_outlives_the_solve(self, monkeypatch):
         """Reference counting alone frees every LU factor when steklov_eigs

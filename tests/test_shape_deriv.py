@@ -25,6 +25,27 @@ def trapezoid_perimeter_derivative(curve, field, n_quad=4096):
     return float(np.sum(curve.curvature_at(theta) * field(theta) * speed) * TWO_PI / n_quad)
 
 
+def trapezoid_pair_matrix(eps, field, circle, n_quad=64):
+    """∫ r·V·(τ_jτ_k − ν_jν_k − λ·H·u_ju_k) dθ by the periodic trapezoid rule
+    for the pair u = f(r)·(cos θ, sin θ), f(r) = A·r + A₋/r, on the inner
+    (r = ε, ∂_n = −∂_r, H = −1/ε) or the outer (r = 1, ∂_n = ∂_r, H = 1)
+    circle.  Exact for fields of fewer than n_quad − 2 modes."""
+    pair = analytic.solve_coeffs(eps, 1, 0.0, "minus")
+    r, sign, curv = (eps, -1.0, -1.0 / eps) if circle == INNER else (1.0, 1.0, 1.0)
+    theta = TWO_PI * np.arange(n_quad) / n_quad
+    f = pair.a_k * r + pair.a_mk / r
+    df = pair.a_k - pair.a_mk / r ** 2
+    u = f * np.array([np.cos(theta), np.sin(theta)])
+    tau = (f / r) * np.array([-np.sin(theta), np.cos(theta)])  # ∂_θu / r
+    nu = sign * df * np.array([np.cos(theta), np.sin(theta)])
+    weight = r * field(theta) * TWO_PI / n_quad
+
+    def gram(a, b):
+        return np.einsum("q,jq,kq->jk", weight, a, b)
+
+    return gram(tau, tau) - gram(nu, nu) - pair.lam * curv * gram(u, u)
+
+
 def concentric(eps):
     return AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
                          inner=Circle(radius=eps, orientation=INNER))
@@ -36,8 +57,7 @@ class TestTrigIntegrals:
                                   sin_coeffs=(0.5, 0.3, -0.2), target=INNER)
         theta = np.linspace(0, TWO_PI, 200001)
         v = field(theta)
-        total, cos2, sin2, sincos = _trig_integrals(field)
-        assert total == pytest.approx(np.trapezoid(v, theta), abs=1e-8)
+        cos2, sin2, sincos = _trig_integrals(field)
         assert cos2 == pytest.approx(np.trapezoid(v * np.cos(theta) ** 2, theta), abs=1e-8)
         assert sin2 == pytest.approx(np.trapezoid(v * np.sin(theta) ** 2, theta), abs=1e-8)
         assert sincos == pytest.approx(
@@ -113,6 +133,35 @@ class TestMatrices:
         m, _ = annulus_matrices(0.25, field, PerturbationField(target=OUTER))
         np.testing.assert_allclose(m_r.entries + m_nr.entries, m.entries,
                                    rtol=1e-12, atol=1e-14)
+
+    def test_both_circles_match_trapezoid(self):
+        """Inner and outer matrices against the integrand summed on 64
+        points, over seeded random inner radii and fields."""
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            eps = float(rng.uniform(0.05, 0.95))
+            n_modes = int(rng.integers(0, 5))
+            fields = [PerturbationField(radial=float(rng.standard_normal()),
+                                        cos_coeffs=tuple(rng.standard_normal(n_modes)),
+                                        sin_coeffs=tuple(rng.standard_normal(n_modes)),
+                                        target=target) for target in (INNER, OUTER)]
+            for matrix, field in zip(annulus_matrices(eps, *fields), fields):
+                expected = trapezoid_pair_matrix(eps, field, field.target)
+                gap = np.max(np.abs(matrix.entries - expected))
+                assert gap <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("eps", [0.3, 0.6])
+    def test_radial_outer_matrix_recovers_scaling_slope(self, eps):
+        """V_n = 1 on the outer circle grows it to radius R at unit rate, and
+        λ₁ of the annulus ε < r < R is λ₁(ε/R)/R, so both eigenvalues of M̃
+        equal d/dR of that at R = 1."""
+        h = 1e-6
+        lam = [analytic.steklov_eig(eps / big_r, 1, "minus") / big_r
+               for big_r in (1.0 + h, 1.0 - h)]
+        slope = (lam[0] - lam[1]) / (2 * h)
+        _, m_out = annulus_matrices(eps, PerturbationField(target=INNER),
+                                    PerturbationField(radial=1.0, target=OUTER))
+        np.testing.assert_allclose(m_out.eigenvalues(), [slope, slope], rtol=1e-6)
 
     def test_field_target_validation(self):
         with pytest.raises(ShapeDerivError):
