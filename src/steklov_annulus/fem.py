@@ -2,10 +2,12 @@
 
 The stiffness matrix is assembled from exact element integrals of hat
 function gradients; the boundary mass matrix from exact edge integrals
-(edge-length/6 times the [[2,1],[1,2]] pattern).  Both are sparse.  The
-spectrum comes from one sparse generalized eigensolve of the Steklov pencil,
-a Lanczos iteration on the boundary traces (see `linalg`); only the traces
-are kept.
+(edge-length/6 times the [[2,1],[1,2]] pattern).  Both are sparse and
+indexed by the mesh's own vertex numbers, which follow the elimination order
+(see `mesher`), so K + M_∂ reaches the solver ready to factor.  The spectrum
+comes from one sparse eigensolve of the Steklov pencil, a shift-invert
+Lanczos iteration on the boundary traces (see `linalg`); only the traces are
+kept.
 """
 
 from __future__ import annotations
@@ -98,8 +100,7 @@ def boundary_mass(mesh: Mesh) -> sp.csr_matrix:
 def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
     """`count` smallest Steklov eigenpairs of the assembled system."""
     eigenvalues, vectors = steklov_eigs(system.stiffness, system.boundary_mass,
-                                        system.boundary_dofs, count,
-                                        system.mesh.elimination_steps)
+                                        system.boundary_dofs, count)
 
     # deterministic sign: boundary value at θ=0 on the outer loop >= 0; the
     # outer loop follows the inner one in boundary_dofs

@@ -79,24 +79,22 @@ class BoundaryCurve:
         return kappa if self.orientation == OUTER else -kappa
 
     def arc_length(self):
-        """Arc length ∫√(r² + r'²) dθ by panel-doubled Gauss-Legendre, to a
-        relative change of 1e-12 between doublings."""
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-
-        def composite(panels):
-            edges = np.linspace(0.0, TWO_PI, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            theta = (mid[:, None] + half * nodes[None, :]).ravel()
+        """Arc length ∫√(r² + r'²) dθ by the periodic trapezoid rule, which
+        converges spectrally on this smooth periodic integrand; the points are
+        doubled from 16 to a relative change of 1e-12 between doublings."""
+        def trapezoid(points):
+            # the grid is turned by an irrational fraction of a step: every
+            # point of the unturned 16- and 32-point grids sees the same
+            # r = a·cos(32θ) + b, which would pass for convergence
+            theta = TWO_PI * (np.arange(points) + np.sqrt(0.5)) / points
             r, dr = self._r(theta), self._dr(theta)
-            f = np.sqrt(r * r + dr * dr)
-            return half * np.sum(f.reshape(panels, -1) * weights[None, :])
+            return TWO_PI / points * np.sum(np.sqrt(r * r + dr * dr))
 
-        panels = 4
-        prev = composite(panels)
+        points = 16
+        prev = trapezoid(points)
         for _ in range(20):
-            panels *= 2
-            cur = composite(panels)
+            points *= 2
+            cur = trapezoid(points)
             if abs(cur - prev) <= 1e-12 * abs(cur):
                 return cur
             prev = cur

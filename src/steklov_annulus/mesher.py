@@ -5,13 +5,15 @@ outer boundary parameterizations.  The construction is deterministic and
 keeps the boundary loop indexing fixed under small boundary motion, which
 the finite-difference shape-gradient checks rely on.
 
-The vertex numbering depends on (N_θ, N_r) alone, and so does the graph of
-K + M_∂ up to the diagonal each quad takes.  Its fill-reducing elimination
-order is therefore computed once per resolution and process, as the step at
-which each vertex is eliminated (`Mesh.elimination_steps`): SciPy's
-minimum-degree ordering of the union stencil, in which every quad carries
-both diagonals.  That graph contains the stiffness graph of every mesh of
-the resolution, and the boundary-mass couplings are quad edges.
+Vertices are numbered in elimination order, so that K + M_∂ assembled on
+the mesh factors without fill-reducing permutation.  The ring numbering
+(vertex i of ring j is j·N_θ + i) depends on (N_θ, N_r) alone, and so does
+the graph of K + M_∂ up to the diagonal each quad takes.  The order is
+therefore computed once per resolution and process: SciPy's minimum-degree
+ordering of the union stencil, in which every quad carries both diagonals.
+That graph contains the stiffness graph of every mesh of the resolution, and
+the boundary-mass couplings are quad edges.  Each vertex is then numbered by
+the step at which it is eliminated.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class Mesh:
     triangles: (T, 3) int array, counterclockwise.
     inner_loop / outer_loop: vertex indices of the boundary rings, ordered by
     increasing θ; loop_theta holds the shared parameter values θ_i.
+    Vertices are numbered in the fill-reducing elimination order of the
+    resolution (module docstring).
     """
 
     vertices: np.ndarray
@@ -56,13 +60,6 @@ class Mesh:
     @property
     def boundary_vertices(self):
         return np.concatenate([self.inner_loop, self.outer_loop])
-
-    @property
-    def elimination_steps(self):
-        """Fill-reducing elimination order of K + M_∂ at this resolution:
-        entry v is the step at which vertex v is eliminated.  Cached,
-        read-only."""
-        return _elimination_steps(self.n_theta, self.n_radial)
 
 
 def radial_grading(inner_radius):
@@ -84,8 +81,9 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
                        grading: float = 1.0) -> Mesh:
     """Transfinite mesh with N_θ angular divisions and N_r radial layers.
 
-    Each quad is split along its shorter diagonal.  Raises MeshingError,
-    naming the offending θ, if the blend tangles (nonpositive triangle area).
+    Each quad is split along its shorter diagonal, and each vertex numbered
+    by its elimination step.  Raises MeshingError, naming the offending θ,
+    if the blend tangles (nonpositive triangle area).
     """
     if n_theta < 16:
         raise MeshingError(f"n_theta must be >= 16, got {n_theta}")
@@ -117,14 +115,17 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
         bad_theta = theta[tris[bad, 0] % n_theta]
         raise MeshingError(f"tangled mesh: nonpositive triangle area near theta={bad_theta:.6f}")
 
-    ii = np.arange(n_theta)
-    return Mesh(vertices=verts, triangles=tris,
-                inner_loop=ii, outer_loop=(n_radial * n_theta + ii),
+    # renumber: ring vertex v becomes vertex step[v], its elimination step
+    step = _elimination_steps(n_theta, n_radial)
+    vertices = np.empty_like(verts)
+    vertices[step] = verts
+    return Mesh(vertices=vertices, triangles=step[tris],
+                inner_loop=step[:n_theta], outer_loop=step[n_radial * n_theta:],
                 loop_theta=theta, n_theta=n_theta, n_radial=n_radial)
 
 
 def _quad_corners(n_theta, n_radial):
-    """Vertex numbers of the CCW quads (inner θ_i, outer θ_i, outer θ_{i+1},
+    """Ring numbers of the CCW quads (inner θ_i, outer θ_i, outer θ_{i+1},
     inner θ_{i+1}) of every layer, four (N_r, N_θ) arrays.  Vertex i of ring j
     is j·N_θ + i; ring 0 is the inner boundary."""
     ring = n_theta * np.arange(n_radial)[:, None]
@@ -136,7 +137,8 @@ def _quad_corners(n_theta, n_radial):
 
 @functools.lru_cache(maxsize=16)
 def _elimination_steps(n_theta, n_radial):
-    """Minimum-degree elimination step of each vertex of the union stencil.
+    """Minimum-degree elimination step of each ring-numbered vertex of the
+    union stencil.
 
     SuperLU's MMD ordering of A + Aᵀ, read off one factorization of a
     diagonally dominant, hence SPD, matrix whose graph joins all four

@@ -49,6 +49,17 @@ class TestCosinePerturbedCircle:
         ref = np.trapezoid(np.sqrt(r * r + dr * dr), theta)
         assert c.arc_length() == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [32, 64])
+    def test_arc_length_of_dyadic_frequency(self, k):
+        """A frequency that 16 and 32 equispaced points cannot resolve: on
+        such grids aligned with θ = 0 every sample is r = a + b, r' = 0."""
+        c = CosinePerturbedCircle(a=0.05, k=k, b=0.5)
+        theta = TWO_PI * np.arange(256 * k) / (256 * k)
+        r = 0.05 * np.cos(k * theta) + 0.5
+        dr = -0.05 * k * np.sin(k * theta)
+        ref = TWO_PI * np.mean(np.sqrt(r * r + dr * dr))
+        assert c.arc_length() == pytest.approx(ref, rel=1e-12)
+
     def test_curvature_matches_finite_difference_of_tangent_angle(self):
         c = CosinePerturbedCircle(a=0.05, k=4, b=0.6, orientation=OUTER)
         theta0, h = 0.37, 1e-6

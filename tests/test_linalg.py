@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from steklov_annulus import analytic, linalg, mesher
@@ -23,13 +24,22 @@ def annulus(radius, center=(0.0, 0.0)):
                          inner=Circle(radius=radius, center=center, orientation=INNER))
 
 
-def eigs(system, count, steps=None):
-    """steklov_eigs on an assembled system, in the mesh's elimination order
-    unless other elimination steps are given."""
-    if steps is None:
-        steps = system.mesh.elimination_steps
-    return steklov_eigs(system.stiffness, system.boundary_mass, system.boundary_dofs,
-                        count, steps)
+def eigs(system, count):
+    """steklov_eigs on an assembled system."""
+    return steklov_eigs(system.stiffness, system.boundary_mass, system.boundary_dofs, count)
+
+
+def relabel(system, label):
+    """Stiffness, boundary mass and boundary dofs of the same system with
+    vertex v renamed label[v]."""
+    k = system.stiffness.tocoo()
+    stiffness = sp.csr_matrix((k.data, (label[k.row], label[k.col])), shape=k.shape)
+    return stiffness, system.boundary_mass, label[system.boundary_dofs]
+
+
+def ring_labels(mesh):
+    """Ring number of each mesh vertex (vertex i of ring j is j·N_θ + i)."""
+    return np.argsort(mesher._elimination_steps(mesh.n_theta, mesh.n_radial))
 
 
 def dense_dtn(system):
@@ -147,8 +157,8 @@ class TestSmallestEigenpairs:
                 return self.factor.solve(rhs)
 
         def counted_splu(a, *args, **kwargs):
-            factor = real_splu(a, *args, **kwargs)
-            return CountedFactor(factor) if a.shape[0] == n else factor
+            assert a.shape[0] == n  # the one factor is of K + M_∂
+            return CountedFactor(real_splu(a, *args, **kwargs))
 
         monkeypatch.setattr(linalg, "splu", counted_splu)
         solve_domain(annulus(0.3), 256, 24, count=3)
@@ -169,14 +179,15 @@ class TestSmallestEigenpairs:
 
 class TestEliminationOrder:
     def test_pairs_do_not_depend_on_order(self, eccentric):
-        """The cached order, the identity and a seeded random permutation give
-        the same eigenvalues to 1e-12 and, up to sign, the same traces of the
-        simple eigenvalues to 1e-10."""
+        """The mesh's own numbering, the same system relabelled back to ring
+        order and one relabelled by a seeded random permutation give the same
+        eigenvalues to 1e-12 and, up to sign, the same traces of the simple
+        eigenvalues to 1e-10."""
         n = eccentric.stiffness.shape[0]
         ref_lams, ref_vecs = eigs(eccentric, 6)
         assert np.all(np.diff(ref_lams) > 1e-3)  # simple; the closest pair is λ₃, λ₄
-        for steps in (np.arange(n), np.random.default_rng(7).permutation(n)):
-            lams, vecs = eigs(eccentric, 6, steps)
+        for label in (ring_labels(eccentric.mesh), np.random.default_rng(7).permutation(n)):
+            lams, vecs = steklov_eigs(*relabel(eccentric, label), 6)
             assert abs(lams[0]) < 1e-10
             np.testing.assert_allclose(lams[1:], ref_lams[1:], rtol=1e-12, atol=0.0)
             vecs = vecs * np.sign(np.sum(vecs * ref_vecs, axis=0))
@@ -187,11 +198,13 @@ class TestEliminationOrder:
         across calls and in a fresh interpreter, so that runs repeat exactly.
         It owns its memory: a view of SuperLU's perm_c would keep the whole
         union-stencil factor alive in the cache."""
-        steps = eccentric.mesh.elimination_steps
+        steps = mesher._elimination_steps(32, 4)
         np.testing.assert_array_equal(np.sort(steps), np.arange(eccentric.stiffness.shape[0]))
         assert not steps.flags.writeable
         assert steps.base is None
-        assert build_annular_mesh(annulus(0.2), 32, 4).elimination_steps is steps
+        assert mesher._elimination_steps(32, 4) is steps
+        np.testing.assert_array_equal(build_annular_mesh(annulus(0.2), 32, 4).inner_loop,
+                                      steps[:32])
         env = dict(os.environ, PYTHONPATH=str(Path(mesher.__file__).resolve().parents[1]))
         fresh = subprocess.run(
             [sys.executable, "-c", "from steklov_annulus.mesher import _elimination_steps;"
@@ -199,11 +212,25 @@ class TestEliminationOrder:
             env=env, capture_output=True, text=True, check=True).stdout
         assert fresh.strip() == str(steps.tolist())
 
-    def test_order_validation(self, eccentric):
-        n = eccentric.stiffness.shape[0]
-        for steps in (np.arange(n - 1), np.r_[0, np.arange(n - 1)]):
-            with pytest.raises(ValueError, match="permutation"):
-                eigs(eccentric, 3, steps)
+    def test_mesh_numbering_is_fill_reducing(self):
+        """Factored in its own numbering, as steklov_eigs does, K + M_∂ of an
+        eccentric 64×8 mesh has at most 1.1× the L + U entries that SuperLU's
+        minimum-degree ordering gives the ring-numbered matrix (ring order
+        itself gives about 4.6× as many)."""
+        system = assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 64, 8))
+        n = system.stiffness.shape[0]
+
+        def fill(label, permc_spec):
+            stiffness, mbb, dofs = relabel(system, label)
+            e = sp.csr_matrix((np.ones(len(dofs)), (dofs, np.arange(len(dofs)))),
+                              shape=(n, len(dofs)))
+            lu = scipy.sparse.linalg.splu((stiffness + e @ mbb @ e.T).tocsc(),
+                                          permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                                          options={"SymmetricMode": True})
+            return lu.L.nnz + lu.U.nnz
+
+        assert fill(np.arange(n), "NATURAL") <= 1.1 * fill(ring_labels(system.mesh),
+                                                           "MMD_AT_PLUS_A")
 
     def test_no_factor_outlives_the_solve(self, monkeypatch):
         """Reference counting alone frees every LU factor when steklov_eigs
@@ -228,7 +255,7 @@ class TestEliminationOrder:
         gc.disable()
         try:
             solve_domain(annulus(0.3, center=(0.25, 0.1)), 64, 8, count=3)
-            assert len(factors) == 2
+            assert len(factors) == 1
             assert all(ref() is None for ref in factors)
         finally:
             gc.enable()
@@ -239,7 +266,7 @@ class TestSolverFailure:
         # vertex 2 is not coupled to anything, so K + M_∂ is singular
         k = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
         with pytest.raises(EigensolveError):
-            steklov_eigs(k, sp.identity(2, format="csr"), [0, 1], 1, np.arange(3))
+            steklov_eigs(k, sp.identity(2, format="csr"), [0, 1], 1)
 
     def test_no_convergence_raises(self, eccentric, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -253,8 +280,8 @@ class TestSolverFailure:
         real_eigsh = linalg.eigsh
 
         def perturbed(*args, **kwargs):
-            mu, vecs = real_eigsh(*args, **kwargs)
-            return mu * (1.0 + 1e-6), vecs
+            lams, vecs = real_eigsh(*args, **kwargs)
+            return lams * (1.0 + 1e-6), vecs
 
         monkeypatch.setattr(linalg, "eigsh", perturbed)
         with pytest.raises(EigensolveError, match="residual"):

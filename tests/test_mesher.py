@@ -3,8 +3,8 @@ import pytest
 
 from steklov_annulus.geometry import (INNER, TWO_PI, AnnularDomain, Circle,
                                       CosinePerturbedCircle)
-from steklov_annulus.mesher import (MeshingError, _radial_fractions, _signed_areas,
-                                    build_annular_mesh, radial_grading)
+from steklov_annulus.mesher import (MeshingError, _elimination_steps, _radial_fractions,
+                                    _signed_areas, build_annular_mesh, radial_grading)
 
 
 @pytest.fixture(scope="module")
@@ -15,8 +15,8 @@ def annulus():
 
 def layer_loop_mesh(domain, n_theta, n_radial, grading):
     """Vertices and triangles built ring by ring and layer by layer, each quad
-    split along its shorter diagonal: the reference for the vectorised
-    build_annular_mesh."""
+    split along its shorter diagonal, numbered by ring (vertex i of ring j is
+    j·N_θ + i): the reference for the vectorised build_annular_mesh."""
     theta = TWO_PI * np.arange(n_theta) / n_theta
     inner_pts = domain.inner.point_at(theta)
     outer_pts = domain.outer.point_at(theta)
@@ -53,8 +53,10 @@ class TestBuild:
         domain = AnnularDomain(outer=Circle(radius=1.0), inner=inner)
         mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
         verts, tris = layer_loop_mesh(domain, n_theta, n_radial, grading)
-        np.testing.assert_array_equal(mesh.vertices, verts)
-        np.testing.assert_array_equal(mesh.triangles, tris)
+        # ring vertex v is mesh vertex step[v]
+        step = _elimination_steps(n_theta, n_radial)
+        np.testing.assert_array_equal(mesh.vertices[step], verts)
+        np.testing.assert_array_equal(mesh.triangles, step[tris])
 
     def test_counts(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 4)
@@ -109,13 +111,14 @@ class TestBuild:
 class TestGrading:
     def test_layers_grow_away_from_inner(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 8, grading=1.3)
-        radii = np.linalg.norm(mesh.vertices[::32], axis=1)  # θ=0 ray
+        ray = _elimination_steps(32, 8)[::32]  # θ=0 ray, ring by ring
+        radii = np.linalg.norm(mesh.vertices[ray], axis=1)
         widths = np.diff(radii)
         assert np.all(np.diff(widths) > 0)
 
     def test_unit_grading_is_uniform(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 4)
-        radii = np.linalg.norm(mesh.vertices[::32], axis=1)
+        radii = np.linalg.norm(mesh.vertices[_elimination_steps(32, 4)[::32]], axis=1)
         np.testing.assert_allclose(np.diff(radii), 0.7 / 4, rtol=1e-13)
         for n in (4, 12, 24, 48):
             np.testing.assert_array_equal(_radial_fractions(n, 1.0), np.arange(n + 1) / n)

@@ -103,8 +103,13 @@ class TestBallMatrix:
 class TestAnnulusCoefficients:
     @pytest.mark.parametrize("eps", np.linspace(0.05, 0.9, 18))
     def test_c1_identity(self, eps):
+        """C₁ is the cross coefficient of the pair: V = sin 2θ on the inner
+        circle gives the off-diagonal entry (π/2)·C₁ by the trapezoid rule."""
         coeffs = annulus_coeffs(float(eps))
-        assert abs(coeffs.c1 - (coeffs.c3 - coeffs.c2)) < 1e-12 * max(
+        field = PerturbationField(radial=0.0, cos_coeffs=(0.0, 0.0), sin_coeffs=(0.0, 1.0),
+                                  target=INNER)
+        off_diagonal = trapezoid_pair_matrix(float(eps), field, INNER)[0, 1]
+        assert abs(coeffs.c1 - off_diagonal / (math.pi / 2)) < 1e-12 * max(
             abs(coeffs.c2), abs(coeffs.c3), 1.0)
 
     def test_radial_matrix_recovers_curve_slope(self):
