@@ -1,17 +1,21 @@
 """P1 finite elements for the Steklov problem on annular meshes.
 
-The stiffness matrix is assembled from exact element integrals of hat
-function gradients; the boundary mass matrix from exact edge integrals
-(edge-length/6 times the [[2,1],[1,2]] pattern).  Both are sparse and
-indexed by the mesh's own vertex numbers, which follow the elimination order
-(see `mesher`), so K + M_∂ reaches the solver ready to factor.  The spectrum
-comes from one sparse eigensolve of the Steklov pencil, a shift-invert
-Lanczos iteration on the boundary traces (see `linalg`); only the traces are
-kept.
+The solver needs K + M_∂, stiffness plus boundary mass, and assembles it
+edge by edge in ring space (see `mesher`): each quad's edge vectors give,
+through their cross and dot products, the stiffness −½(cot α + cot β) of
+each of its edges; every row's diagonal is minus its off-diagonal sum; and
+each boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values
+go straight into the data array of the resolution's cached union-stencil
+CSC pattern, indexed by the mesh's own vertex numbers, which follow the
+elimination order, so K + M_∂ reaches the solver ready to factor.  K alone is
+formed only on request (`AssembledSystem.stiffness`).  The spectrum comes
+from one sparse eigensolve of the Steklov pencil, a shift-invert Lanczos
+iteration on the boundary traces (see `linalg`); only the traces are kept.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,8 @@ import scipy.sparse as sp
 
 from .geometry import AnnularDomain
 from .linalg import steklov_eigs
-from .mesher import Mesh, build_annular_mesh
+from .mesher import (Mesh, _ring_vertices, _split_quads, _triangles, _union_matrix,
+                     build_annular_mesh)
 
 
 class AssemblyError(ValueError):
@@ -28,10 +33,15 @@ class AssemblyError(ValueError):
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    stiffness: sp.csr_matrix
+    shifted: sp.csc_matrix              # K + M_∂ on the union-stencil pattern, factor-ready
     boundary_mass: sp.csr_matrix        # over boundary dofs, in boundary_dofs order
     boundary_dofs: np.ndarray           # vertex indices, inner loop then outer loop
     mesh: Mesh
+
+    @functools.cached_property
+    def stiffness(self) -> sp.csc_matrix:
+        """K alone, on the same pattern; the solve never needs it."""
+        return _assemble(self.mesh, with_boundary=False)
 
 
 @dataclass(frozen=True)
@@ -57,24 +67,62 @@ class SteklovSpectrum:
 
 
 def assemble(mesh: Mesh) -> AssembledSystem:
-    """Stiffness over all vertices plus boundary mass over boundary dofs."""
-    verts, tris = mesh.vertices, mesh.triangles
-    p = verts[tris]
-    x, y = p[:, :, 0], p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = np.einsum("ti,ti->t", x, b)
-    if np.any(area2 <= 0):
-        raise AssemblyError("degenerate or inverted triangle in mesh")
-    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (2.0 * area2)[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    n = len(verts)
-    stiffness = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    stiffness.sum_duplicates()
+    """K + M_∂ over all vertices plus the boundary mass over boundary dofs.
 
-    return AssembledSystem(stiffness=stiffness, boundary_mass=boundary_mass(mesh),
+    The entries follow from the vertices alone.  Raises AssemblyError
+    unless the mesh's triangles are the ring triangulation of its vertices
+    (each quad split along its shorter diagonal), all of positive area.
+    """
+    return AssembledSystem(shifted=_assemble(mesh, with_boundary=True),
+                           boundary_mass=boundary_mass(mesh),
                            boundary_dofs=mesh.boundary_vertices, mesh=mesh)
+
+
+def _assemble(mesh, with_boundary):
+    """K, plus M_∂ if with_boundary, in one pass over the ring-space quads."""
+    n_theta, n_radial = mesh.n_theta, mesh.n_radial
+    ring = _ring_vertices(mesh)
+    use_ac, edges, diagonal, cross = _split_quads(ring)
+    if not np.all(cross > 0):
+        raise AssemblyError("degenerate or inverted triangle in mesh")
+    if not np.array_equal(mesh.triangles, _triangles(n_theta, n_radial, use_ac)):
+        raise AssemblyError("mesh triangles are not the ring triangulation of its vertices")
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+
+    # in a CCW triangle with edge vectors u, v, w the entry of edge u is
+    # −½·cot of the angle opposite it, v·w / (2·u × v); the quad's first
+    # triangle has the edges f0, f1, −diagonal, its second f2, f3, diagonal
+    f0, f1, f2, f3 = edges.swapaxes(0, 1)
+    first, second = 0.5 / cross
+    sides = np.stack([-dot(f1, diagonal) * first, -dot(diagonal, f0) * first,
+                      dot(f3, diagonal) * second, dot(diagonal, f2) * second])
+    # back from "CCW from the start of the diagonal" to (ab, bc, cd, da)
+    ab, bc, cd, da = np.where(use_ac, sides, np.roll(sides, -1, axis=0))
+    across = dot(f0, f1) * first + dot(f2, f3) * second
+    on_ac = np.where(use_ac, across, 0.0)
+    on_bd = across - on_ac  # explicit zero on the diagonal the quad does not take
+
+    # radial edge (j, i)–(j+1, i): side ab of quad (j, i), side cd of quad (j, i−1)
+    radial = ab + np.roll(cd, 1, axis=1)
+    # ring edge (j, i)–(j, i+1): side da of the quad outward of ring j, bc of the one inward
+    around = np.zeros((n_radial + 1, n_theta))
+    around[:-1] = da
+    around[1:] += bc
+    vertex = -(around + np.roll(around, 1, axis=1))
+    vertex[:-1] -= radial + on_ac + np.roll(on_bd, 1, axis=1)  # corner a or d of its layer
+    vertex[1:] -= radial + on_bd + np.roll(on_ac, 1, axis=1)   # corner b or c of its layer
+
+    if with_boundary:
+        for j in (0, n_radial):
+            loop = np.roll(ring[:, j], -1, axis=1) - ring[:, j]
+            length = np.sqrt(dot(loop, loop))
+            around[j] += length / 6.0
+            third = length / 3.0
+            vertex[j] += third + np.roll(third, 1)
+
+    return _union_matrix(vertex, radial, around, on_ac, on_bd)
 
 
 def boundary_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -99,7 +147,7 @@ def boundary_mass(mesh: Mesh) -> sp.csr_matrix:
 
 def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
     """`count` smallest Steklov eigenpairs of the assembled system."""
-    eigenvalues, vectors = steklov_eigs(system.stiffness, system.boundary_mass,
+    eigenvalues, vectors = steklov_eigs(system.shifted, system.boundary_mass,
                                         system.boundary_dofs, count)
 
     # deterministic sign: boundary value at θ=0 on the outer loop >= 0; the

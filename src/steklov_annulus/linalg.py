@@ -2,7 +2,8 @@
 
 K is the P1 stiffness matrix (positive semidefinite, constants in its
 kernel) and M_∂ the boundary mass, zero away from the boundary; neither is
-invertible.  Their sum is symmetric positive definite on a connected mesh.
+invertible.  Their sum is symmetric positive definite on a connected mesh,
+and it is all this module is given of K: `fem` assembles K + M_∂ directly.
 M_∂ = E·M_bb·Eᵀ, with E the injection of the n_b boundary vertices into all
 n, so the pencil reduces to the boundary problem S·w = λ·M_bb·w, with S the
 discrete Dirichlet-to-Neumann matrix and w the trace Eᵀu.  S is never
@@ -18,8 +19,8 @@ fill-reducing elimination order (`mesher`), so this module makes no
 ordering choice itself.
 One more block solve lifts the converged traces w to full vertex vectors
 u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w, on which every pair is checked against
-RESIDUAL_BOUND: K·u − λ·M_∂·u = (1 + λ)·E·M_bb·(w − Eᵀu) is the boundary
-eigen-residual.
+RESIDUAL_BOUND: K·u − λ·M_∂·u, computed as (K + M_∂)·u − (1 + λ)·M_∂·u,
+equals (1 + λ)·E·M_bb·(w − Eᵀu), the boundary eigen-residual.
 
 ARPACK stops when the M_bb-norm of a Ritz residual of G·M_bb is below
 LANCZOS_TOL times its Ritz value 1/(1 + λ).  The check measures Euclidean
@@ -45,31 +46,27 @@ class EigensolveError(ValueError):
     """The Steklov pencil could not be solved to the residual bound."""
 
 
-def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
+def steklov_eigs(shifted: sp.spmatrix, boundary_mass: sp.spmatrix,
                  boundary_dofs, count: int):
-    """`count` smallest eigenpairs of K·u = λ·M_∂·u.
+    """`count` smallest eigenpairs of K·u = λ·M_∂·u, given K + M_∂.
 
-    boundary_mass is indexed by position in boundary_dofs.  K + M_∂ is
-    factored in its own vertex numbering; any numbering gives the same pairs
-    up to round-off, only fill and speed depend on it.  Returns the ascending
-    eigenvalues and the boundary traces as columns, in boundary_dofs order
-    and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most
-    n_b − 1, ARPACK's limit on the boundary pencil), so both copies of a
-    double eigenvalue at the end of the requested range come back: Lanczos
-    finds the second copy only through round-off and locking, and asked for
-    exactly `count` pairs it can return the next eigenvalue in its place.
+    shifted is K + M_∂ over all vertices; boundary_mass is M_bb, indexed by
+    position in boundary_dofs.  K + M_∂ is factored in its own vertex
+    numbering; any numbering gives the same pairs up to round-off, only
+    fill and speed depend on it.  Returns the ascending eigenvalues and the
+    boundary traces as columns, in boundary_dofs order and normalized to
+    vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most n_b − 1, ARPACK's
+    limit on the boundary pencil), so both copies of a double eigenvalue at
+    the end of the requested range come back: Lanczos finds the second copy
+    only through round-off and locking, and asked for exactly `count` pairs
+    it can return the next eigenvalue in its place.
     """
-    # int32 halves the triplet indices of K + M_∂
-    boundary_dofs = np.asarray(boundary_dofs, dtype=np.int32)
-    n, nb = stiffness.shape[0], len(boundary_dofs)
+    boundary_dofs = np.asarray(boundary_dofs)
+    shifted = sp.csc_matrix(shifted)
+    n, nb = shifted.shape[0], len(boundary_dofs)
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
     mbb = sp.csc_matrix(boundary_mass)
-    k, mb = stiffness.tocoo(), mbb.tocoo()
-    # K + E·M_bb·Eᵀ in one COO → CSC step, which sums the duplicates
-    rows = np.concatenate([k.row, boundary_dofs[mb.row]])
-    cols = np.concatenate([k.col, boundary_dofs[mb.col]])
-    shifted = sp.csc_matrix((np.concatenate([k.data, mb.data]), (rows, cols)), shape=(n, n))
     try:
         # K + M_∂ is SPD: diagonal pivots in a symmetric ordering are stable
         lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -103,8 +100,8 @@ def steklov_eigs(stiffness: sp.spmatrix, boundary_mass: sp.spmatrix,
     mv = mbb @ on_boundary  # M_∂·u, zero off the boundary
     scale = np.sqrt(np.einsum("ij,ij->j", on_boundary, mv))
     vectors, on_boundary, mv = vectors / scale, on_boundary / scale, mv / scale
-    residual = stiffness @ vectors
-    residual[boundary_dofs] -= mv * eigenvalues
+    residual = shifted @ vectors
+    residual[boundary_dofs] -= mv * (1.0 + eigenvalues)
     residual = (np.linalg.norm(residual, axis=0)
                 / ((1.0 + eigenvalues) * np.linalg.norm(mv, axis=0)))
     worst = float(np.max(residual))

@@ -5,6 +5,12 @@ outer boundary parameterizations.  The construction is deterministic and
 keeps the boundary loop indexing fixed under small boundary motion, which
 the finite-difference shape-gradient checks rely on.
 
+Geometry is computed in ring space, on an (N_r+1) × N_θ array of vertices
+(ring 0 is the inner boundary): the edge vectors of every quad are slices
+and rolls of it (`_split_quads`).  The tangle check here and the cotangent
+weights of the assembly (`fem`) read the same edge vectors and cross
+products.
+
 Vertices are numbered in elimination order, so that K + M_∂ assembled on
 the mesh factors without fill-reducing permutation.  The ring numbering
 (vertex i of ring j is j·N_θ + i) depends on (N_θ, N_r) alone, and so does
@@ -13,13 +19,18 @@ therefore computed once per resolution and process: SciPy's minimum-degree
 ordering of the union stencil, in which every quad carries both diagonals.
 That graph contains the stiffness graph of every mesh of the resolution, and
 the boundary-mass couplings are quad edges.  Each vertex is then numbered by
-the step at which it is eliminated.
+the step at which it is eliminated.  The CSC pattern of the union stencil
+in that numbering is cached beside the order (`_union_pattern`).  Assembly
+writes K + M_∂ straight into its data array; the diagonal a quad does not
+take holds an explicit zero.  That costs no fill, because the order was
+chosen for the union stencil, both diagonals included.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,46 +93,78 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
     """Transfinite mesh with N_θ angular divisions and N_r radial layers.
 
     Each quad is split along its shorter diagonal, and each vertex numbered
-    by its elimination step.  Raises MeshingError, naming the offending θ,
-    if the blend tangles (nonpositive triangle area).
+    by its elimination step.  Raises MeshingError for a grading that is not
+    finite and positive and, naming the offending θ, if the blend tangles
+    (nonpositive triangle area).
     """
     if n_theta < 16:
         raise MeshingError(f"n_theta must be >= 16, got {n_theta}")
     if n_radial < 2:
         raise MeshingError(f"n_radial must be >= 2, got {n_radial}")
+    if not (np.isfinite(grading) and grading > 0):
+        raise MeshingError(f"grading must be finite and positive, got {grading}")
 
     theta = TWO_PI * np.arange(n_theta) / n_theta
     inner_pts = domain.inner.point_at(theta)
     outer_pts = domain.outer.point_at(theta)
-    s = _radial_fractions(n_radial, grading)
+    s = _radial_fractions(n_radial, grading)[None, :, None]
 
-    # ring j sits at blend fraction s_j; ring 0 is the inner boundary
-    verts = ((1.0 - s[:, None, None]) * inner_pts[None, :, :]
-             + s[:, None, None] * outer_pts[None, :, :]).reshape(-1, 2)
-
-    # every quad of every layer at once; CCW corners (a, b, c, d)
-    a, b, c, d = _quad_corners(n_theta, n_radial)
-    diag_ac = np.sum((verts[a] - verts[c]) ** 2, axis=-1)
-    diag_bd = np.sum((verts[b] - verts[d]) ** 2, axis=-1)
-    use_ac = (diag_ac <= diag_bd)[..., None]
-    t1 = np.where(use_ac, np.stack([a, b, c], -1), np.stack([a, b, d], -1))
-    t2 = np.where(use_ac, np.stack([a, c, d], -1), np.stack([b, c, d], -1))
-    # layer by layer: the first triangles of its quads, then the second ones
-    tris = np.concatenate([t1, t2], axis=1).reshape(-1, 3)
-
-    areas = _signed_areas(verts, tris)
-    if np.any(areas <= 0):
-        bad = int(np.argmin(areas))
-        bad_theta = theta[tris[bad, 0] % n_theta]
+    # ring j sits at blend fraction s_j; ring 0 is the inner boundary.  x and
+    # y are laid out apart, so every slice of a ring is contiguous
+    inner_xy, outer_xy = np.ascontiguousarray(inner_pts.T), np.ascontiguousarray(outer_pts.T)
+    ring = (1.0 - s) * inner_xy[:, None, :] + s * outer_xy[:, None, :]
+    use_ac, _, _, cross = _split_quads(ring)
+    if not np.all(cross > 0):
+        bad_theta = theta[np.unravel_index(np.argmin(cross), cross.shape)[-1]]
         raise MeshingError(f"tangled mesh: nonpositive triangle area near theta={bad_theta:.6f}")
 
     # renumber: ring vertex v becomes vertex step[v], its elimination step
     step = _elimination_steps(n_theta, n_radial)
-    vertices = np.empty_like(verts)
-    vertices[step] = verts
-    return Mesh(vertices=vertices, triangles=step[tris],
+    vertices = np.empty((len(step), 2))
+    for k in (0, 1):  # one coordinate at a time scatters contiguous data
+        vertices[step, k] = ring[k].ravel()
+    return Mesh(vertices=vertices, triangles=_triangles(n_theta, n_radial, use_ac),
                 inner_loop=step[:n_theta], outer_loop=step[n_radial * n_theta:],
                 loop_theta=theta, n_theta=n_theta, n_radial=n_radial)
+
+
+def _ring_vertices(mesh):
+    """The vertices of a mesh in ring space, (2, N_r+1, N_θ): x and y of
+    vertex i of ring j, mesh vertex step[j·N_θ + i]."""
+    step = _elimination_steps(mesh.n_theta, mesh.n_radial)
+    return np.take(mesh.vertices.T, step, axis=1).reshape(2, mesh.n_radial + 1, mesh.n_theta)
+
+
+def _split_quads(ring):
+    """Every quad of the ring-space vertices, split along its shorter diagonal.
+
+    ring is (2, N_r+1, N_θ): x and y of vertex i of ring j.  Quad (j, i) has
+    the CCW corners a = (j, i), b = (j+1, i), c = (j+1, i+1), d = (j, i+1)
+    and takes the diagonal ac where |ac|² ≤ |bd|², bd otherwise.  Returns
+    use_ac (N_r, N_θ); the quad's edge vectors (2, 4, N_r, N_θ), CCW from
+    the start of its diagonal, (ab, bc, cd, da) or (da, ab, bc, cd), so
+    that edges 0, 1 bound its first triangle and edges 2, 3 its second; its
+    diagonal (2, N_r, N_θ), edge 0 + edge 1; and the cross products
+    edge 0 × edge 1 and edge 2 × edge 3 (2, N_r, N_θ), twice the areas of
+    the two triangles.
+    """
+    nxt = np.roll(ring, -1, axis=2)  # vertex i+1 of each ring
+    a, b, c, d = ring[:, :-1], ring[:, 1:], nxt[:, 1:], nxt[:, :-1]
+    ac, bd = c - a, b - d
+    use_ac = np.sum(ac ** 2, axis=0) <= np.sum(bd ** 2, axis=0)
+    da = a - d
+    cycle = np.stack([da, b - a, c - b, d - c, da], axis=1)
+    edges = np.where(use_ac, cycle[:, 1:], cycle[:, :-1])
+    cross = edges[0, 0::2] * edges[1, 1::2] - edges[1, 0::2] * edges[0, 1::2]
+    return use_ac, edges, np.where(use_ac, ac, bd), cross
+
+
+def _triangles(n_theta, n_radial, use_ac):
+    """CCW triangles, elimination-numbered, of the quads split as use_ac
+    says: layer by layer, the first triangles of its quads ((a, b, c) or
+    (a, b, d)), then the second ones ((a, c, d) or (b, c, d))."""
+    splits = _union_pattern(n_theta, n_radial).triangles
+    return np.where(use_ac[:, None, :, None], splits[0], splits[1]).reshape(-1, 3)
 
 
 def _quad_corners(n_theta, n_radial):
@@ -162,7 +205,64 @@ def _elimination_steps(n_theta, n_radial):
     return steps
 
 
-def _signed_areas(verts, tris):
-    p = verts[tris]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+def _union_matrix(vertex, radial, around, on_ac, on_bd):
+    """The elimination-numbered CSC matrix on the union stencil with the
+    given ring-space entries, each edge's in both of its places.
+
+    vertex (N_r+1, N_θ) is the diagonal; radial (N_r, N_θ) couples (j, i)
+    and (j+1, i), around (N_r+1, N_θ) couples (j, i) and (j, i+1), and
+    on_ac and on_bd (N_r, N_θ) are the quad diagonals (j, i)–(j+1, i+1) and
+    (j+1, i)–(j, i+1).
+    """
+    n_radial, n_theta = radial.shape
+    pattern = _union_pattern(n_theta, n_radial)
+    values = np.concatenate([vertex, radial, around, on_ac, on_bd], axis=None)
+    return sp.csc_matrix((np.take(values, pattern.gather), pattern.indices, pattern.indptr),
+                         shape=(vertex.size, vertex.size))
+
+
+class _Pattern(NamedTuple):
+    """Index arrays shared by every mesh of one resolution, all int32.
+
+    indptr, indices: the canonical CSC pattern of the union stencil (every
+    vertex, ring edge, radial edge and both diagonals of every quad) in
+    elimination numbering.  gather: entry s of its data array is entry
+    gather[s] of the ring-space values `_union_matrix` lays out one after
+    another; an edge gives both of its entries.  triangles:
+    (2, N_r, 2, N_θ, 3), the mesh triangles of every quad split along ac
+    (first) and along bd (second), in the order `_triangles` lays out.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+    triangles: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _union_pattern(n_theta, n_radial):
+    """The `_Pattern` of a resolution, read-only; each array owns its memory."""
+    step = _elimination_steps(n_theta, n_radial)
+    a, b, c, d = _quad_corners(n_theta, n_radial)
+    n = len(step)
+    vertex = np.arange(n).reshape(n_radial + 1, n_theta)
+    # value k couples p[k] and q[k]; the first n are the vertices themselves
+    p = np.concatenate([vertex, a, vertex, a, b], axis=None)
+    q = np.concatenate([vertex, b, np.roll(vertex, -1, axis=1), c, d], axis=None)
+    value = np.arange(len(p))
+    rows = step[np.concatenate([p, q[n:]])]
+    cols = step[np.concatenate([q, p[n:]])]
+    order = np.lexsort((rows, cols))
+
+    def split(first, second):
+        return np.stack([np.stack(first, -1), np.stack(second, -1)], axis=1)
+
+    splits = np.stack([split((a, b, c), (a, c, d)), split((a, b, d), (b, c, d))])
+    pattern = _Pattern(
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32),
+        indices=rows[order].astype(np.int32),
+        gather=np.concatenate([value, value[n:]])[order].astype(np.int32),
+        triangles=step[splits])
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern

@@ -20,6 +20,13 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 ROWS = {"reproduce-256": 16, "refine-512": 3, "closed-form": 284}
+# counters a traced pass must read; perfbench takes them from
+# AssembledSystem.stiffness.shape[0], .boundary_dofs and Mesh.triangles
+COUNTERS = {
+    "refine-512": {"fem.dofs": 512 * 49, "fem.boundary_dofs": 1024,
+                   "mesher.triangles": 2 * (128 * 12 + 256 * 24 + 512 * 48),
+                   "fem.assemble.calls": 3, "fem.solve_spectrum.calls": 3},
+}
 
 
 @pytest.mark.parametrize("traced", [False, True])
@@ -35,4 +42,6 @@ def test_pass_rows_all_ok(name, traced, tmp_path):
         tracer.uninstall()
     assert len(rows) == ROWS[name]
     assert [r.name for r in rows if not r.ok] == []
-    tracing.layer_metrics(tracer.spans, 1)
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    if traced:
+        assert {key: metrics[key] for key in COUNTERS.get(name, {})} == COUNTERS.get(name, {})

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steklov_annulus import analytic
-from steklov_annulus.experiments import TRANSLATION_TABLES
+from steklov_annulus.experiments import EPS0, TRANSLATION_TABLES
 from steklov_annulus.fem import AssemblyError, assemble, solve_domain, solve_spectrum
-from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
-from steklov_annulus.mesher import build_annular_mesh, radial_grading
+from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, Circle,
+                                      CosinePerturbedCircle, amplitude_for_perimeter)
+from steklov_annulus.mesher import MeshingError, build_annular_mesh, radial_grading
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,6 +26,59 @@ def eccentric_mesh():
         AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
                       inner=Circle(radius=0.3, center=(0.2, -0.1), orientation=INNER)),
         32, 4)
+
+
+def reference_stiffness(mesh):
+    """K assembled triangle by triangle from the exact element integrals of
+    the hat-function gradients, densely."""
+    tris = mesh.triangles
+    p = mesh.vertices[tris]
+    x, y = p[:, :, 0], p[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area2 = np.einsum("ti,ti->t", x, b)
+    assert np.all(area2 > 0)
+    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (2.0 * area2)[:, None, None]
+    n = len(mesh.vertices)
+    k = np.zeros((n, n))
+    np.add.at(k, (np.repeat(tris, 3, axis=1), np.tile(tris, (1, 3))), ke.reshape(-1, 9))
+    return k
+
+
+def reference_boundary_mass(mesh):
+    """M_bb accumulated edge by edge over both loops, densely, in
+    boundary_vertices order."""
+    dofs = mesh.boundary_vertices
+    pos = {int(d): i for i, d in enumerate(dofs)}
+    ref = np.zeros((len(dofs), len(dofs)))
+    for loop in (mesh.inner_loop, mesh.outer_loop):
+        for v0, v1 in zip(loop, np.roll(loop, -1)):
+            ell = np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0])
+            i, j = pos[int(v0)], pos[int(v1)]
+            ref[[i, j], [i, j]] += ell / 3.0
+            ref[[i, j], [j, i]] += ell / 6.0
+    return ref
+
+
+def perturbed(k):
+    return AnnularDomain(
+        outer=Circle(radius=1.0, orientation=OUTER),
+        inner=CosinePerturbedCircle(a=amplitude_for_perimeter(k, EPS0, EPS0), k=k, b=EPS0,
+                                    orientation=INNER))
+
+
+# name -> (domain, radial grading)
+ORACLE_DOMAINS = {
+    "concentric": (concentric(0.3), 1.0),
+    "eccentric": (AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
+                                inner=Circle(radius=0.3, center=(0.25, 0.1), orientation=INNER)),
+                  1.0),
+    "graded": (AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
+                             inner=Circle(radius=0.08, center=(-0.3, 0.3), orientation=INNER)),
+               radial_grading(0.08)),
+    "cosine k=5": (perturbed(5), 1.15),
+    "cosine k=50": (perturbed(50), 1.15),
+}
 
 
 def shoelace(points):
@@ -63,17 +119,46 @@ class TestAssembly:
     def test_boundary_mass_matches_edge_loop(self):
         """The vectorized boundary mass equals the per-edge accumulation."""
         mesh = eccentric_mesh()
+        np.testing.assert_allclose(assemble(mesh).boundary_mass.toarray(),
+                                   reference_boundary_mass(mesh), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n_theta, n_radial", [(64, 8), (65, 7)])
+    @pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+    def test_edge_assembly_matches_triangle_oracle(self, name, n_theta, n_radial):
+        """K from the ring-space edge pass equals the per-triangle gradient
+        products, and K + M_∂ equals that K plus the per-edge boundary mass,
+        each to 1e-14 of its largest entry."""
+        domain, grading = ORACLE_DOMAINS[name]
+        mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
+        system = assemble(mesh)
+        k = reference_stiffness(mesh)
+        mbb = reference_boundary_mass(mesh)
+        np.testing.assert_allclose(system.stiffness.toarray(), k,
+                                   rtol=0.0, atol=1e-14 * np.abs(k).max())
+        np.testing.assert_allclose(system.boundary_mass.toarray(), mbb,
+                                   rtol=0.0, atol=1e-14 * np.abs(mbb).max())
         dofs = mesh.boundary_vertices
-        pos = {int(d): i for i, d in enumerate(dofs)}
-        ref = np.zeros((len(dofs), len(dofs)))
-        for loop in (mesh.inner_loop, mesh.outer_loop):
-            for v0, v1 in zip(loop, np.roll(loop, -1)):
-                ell = np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0])
-                i, j = pos[int(v0)], pos[int(v1)]
-                ref[[i, j], [i, j]] += ell / 3.0
-                ref[[i, j], [j, i]] += ell / 6.0
-        np.testing.assert_allclose(assemble(mesh).boundary_mass.toarray(), ref,
-                                   rtol=1e-15, atol=0.0)
+        k[np.ix_(dofs, dofs)] += mbb
+        np.testing.assert_allclose(system.shifted.toarray(), k,
+                                   rtol=0.0, atol=1e-14 * np.abs(k).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_theta=st.integers(16, 64), n_radial=st.integers(2, 6),
+           radius=st.floats(0.05, 0.6),
+           center=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    def test_stiffness_symmetric_with_zero_row_sums(self, n_theta, n_radial, radius, center):
+        """On any meshable eccentric circle, K is symmetric and each of its
+        rows sums to zero (constants are in its kernel)."""
+        assume(math.hypot(*center) + radius < 0.95)
+        domain = AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER),
+                               inner=Circle(radius=radius, center=center, orientation=INNER))
+        try:
+            mesh = build_annular_mesh(domain, n_theta, n_radial)
+        except MeshingError:
+            assume(False)
+        k = assemble(mesh).stiffness
+        assert abs(k - k.T).max() == 0.0
+        assert np.abs(k @ np.ones(k.shape[0])).max() <= 1e-13 * abs(k).max()
 
     def test_boundary_dofs_order(self):
         mesh = build_annular_mesh(concentric(0.3), 32, 4)

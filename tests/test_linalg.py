@@ -26,15 +26,15 @@ def annulus(radius, center=(0.0, 0.0)):
 
 def eigs(system, count):
     """steklov_eigs on an assembled system."""
-    return steklov_eigs(system.stiffness, system.boundary_mass, system.boundary_dofs, count)
+    return steklov_eigs(system.shifted, system.boundary_mass, system.boundary_dofs, count)
 
 
 def relabel(system, label):
-    """Stiffness, boundary mass and boundary dofs of the same system with
+    """K + M_∂, boundary mass and boundary dofs of the same system with
     vertex v renamed label[v]."""
-    k = system.stiffness.tocoo()
-    stiffness = sp.csr_matrix((k.data, (label[k.row], label[k.col])), shape=k.shape)
-    return stiffness, system.boundary_mass, label[system.boundary_dofs]
+    k = system.shifted.tocoo()
+    shifted = sp.csc_matrix((k.data, (label[k.row], label[k.col])), shape=k.shape)
+    return shifted, system.boundary_mass, label[system.boundary_dofs]
 
 
 def ring_labels(mesh):
@@ -212,20 +212,45 @@ class TestEliminationOrder:
             env=env, capture_output=True, text=True, check=True).stdout
         assert fresh.strip() == str(steps.tolist())
 
+    def test_cached_pattern_is_factor_ready(self, monkeypatch):
+        """One read-only int32 union-stencil pattern per resolution, the same
+        object on every call and owning its memory (no view into a SuperLU
+        object).  The matrix a solve hands to splu is K + M_∂ written into
+        it: canonical CSC with int32 indices, which SuperLU takes as it is,
+        one entry per vertex and two per ring edge, radial edge and quad
+        diagonal (both diagonals of every quad)."""
+        pattern = mesher._union_pattern(32, 4)
+        assert mesher._union_pattern(32, 4) is pattern
+        for arr in pattern:
+            assert arr.dtype == np.int32
+            assert not arr.flags.writeable
+            assert arr.base is None
+        real_splu = linalg.splu
+        factored = []
+
+        def recording_splu(a, *args, **kwargs):
+            factored.append(a)
+            return real_splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "splu", recording_splu)
+        solve_domain(annulus(0.3, center=(0.25, 0.1)), 32, 4, count=3)
+        (shifted,) = factored
+        assert shifted.format == "csc" and shifted.has_canonical_format
+        assert shifted.indices.dtype == shifted.indptr.dtype == np.int32
+        assert np.shares_memory(shifted.indices, pattern.indices)
+        assert shifted.nnz == 5 * 32 + 2 * 32 * (4 * 4 + 1)
+
     def test_mesh_numbering_is_fill_reducing(self):
         """Factored in its own numbering, as steklov_eigs does, K + M_∂ of an
         eccentric 64×8 mesh has at most 1.1× the L + U entries that SuperLU's
         minimum-degree ordering gives the ring-numbered matrix (ring order
         itself gives about 4.6× as many)."""
         system = assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 64, 8))
-        n = system.stiffness.shape[0]
+        n = system.shifted.shape[0]
 
         def fill(label, permc_spec):
-            stiffness, mbb, dofs = relabel(system, label)
-            e = sp.csr_matrix((np.ones(len(dofs)), (dofs, np.arange(len(dofs)))),
-                              shape=(n, len(dofs)))
-            lu = scipy.sparse.linalg.splu((stiffness + e @ mbb @ e.T).tocsc(),
-                                          permc_spec=permc_spec, diag_pivot_thresh=0.0,
+            lu = scipy.sparse.linalg.splu(relabel(system, label)[0], permc_spec=permc_spec,
+                                          diag_pivot_thresh=0.0,
                                           options={"SymmetricMode": True})
             return lu.L.nnz + lu.U.nnz
 

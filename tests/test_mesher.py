@@ -1,16 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from steklov_annulus.geometry import (INNER, TWO_PI, AnnularDomain, Circle,
                                       CosinePerturbedCircle)
 from steklov_annulus.mesher import (MeshingError, _elimination_steps, _radial_fractions,
-                                    _signed_areas, build_annular_mesh, radial_grading)
+                                    build_annular_mesh, radial_grading)
 
 
 @pytest.fixture(scope="module")
 def annulus():
     return AnnularDomain(outer=Circle(radius=1.0),
                          inner=Circle(radius=0.3, orientation=INNER))
+
+
+def signed_areas(verts, tris):
+    p = verts[tris]
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
 def layer_loop_mesh(domain, n_theta, n_radial, grading):
@@ -66,11 +74,11 @@ class TestBuild:
 
     def test_all_triangles_ccw(self, annulus):
         mesh = build_annular_mesh(annulus, 48, 6)
-        assert np.all(_signed_areas(mesh.vertices, mesh.triangles) > 0)
+        assert np.all(signed_areas(mesh.vertices, mesh.triangles) > 0)
 
     def test_total_area(self, annulus):
         mesh = build_annular_mesh(annulus, 512, 32)
-        area = _signed_areas(mesh.vertices, mesh.triangles).sum()
+        area = signed_areas(mesh.vertices, mesh.triangles).sum()
         assert area == pytest.approx(np.pi * (1 - 0.09), rel=1e-3)
 
     def test_boundary_loops_sit_on_curves(self, annulus):
@@ -84,7 +92,7 @@ class TestBuild:
         inner = CosinePerturbedCircle(a=0.05, k=10, b=0.2, orientation=INNER)
         domain = AnnularDomain(outer=Circle(radius=1.0), inner=inner)
         mesh = build_annular_mesh(domain, 128, 8)
-        assert np.all(_signed_areas(mesh.vertices, mesh.triangles) > 0)
+        assert np.all(signed_areas(mesh.vertices, mesh.triangles) > 0)
         pts = mesh.vertices[mesh.inner_loop]
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1),
                                    inner._r(mesh.loop_theta), rtol=1e-13)
@@ -122,6 +130,16 @@ class TestGrading:
         np.testing.assert_allclose(np.diff(radii), 0.7 / 4, rtol=1e-13)
         for n in (4, 12, 24, 48):
             np.testing.assert_array_equal(_radial_fractions(n, 1.0), np.arange(n + 1) / n)
+
+    @pytest.mark.parametrize("grading", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_invalid_grading_rejected(self, annulus, grading):
+        """A grading that is not finite and positive is refused, with no
+        warning, before any vertex is placed.  Blended, NaN and −1 give NaN
+        vertices, inf and 0 a RuntimeWarning or a misleading tangle."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshingError, match="grading"):
+                build_annular_mesh(annulus, 32, 4, grading=grading)
 
     def test_grading_rule_threshold(self):
         # the tables grade the critical radius 0.146721 and ε = 0.08, not ε = 0.3
