@@ -6,8 +6,9 @@ through their cross and dot products, the stiffness −½(cot α + cot β) of
 each of its edges; every row's diagonal is minus its off-diagonal sum; and
 each boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values
 go straight into the data array of the resolution's cached union-stencil
-CSC pattern, indexed by the mesh's own vertex numbers, which follow the
-elimination order, so K + M_∂ reaches the solver ready to factor.  K alone is
+CSC pattern, indexed by the mesh's own vertex numbers, whose folded
+θ-major order keeps every entry within 2N_r + 3 of the diagonal, so
+K + M_∂ reaches the solver as a band matrix ready to factor.  K alone is
 formed only on request (`AssembledSystem.stiffness`).  The spectrum comes
 from one sparse eigensolve of the Steklov pencil, a shift-invert Lanczos
 iteration on the boundary traces (see `linalg`); only the traces are kept.

@@ -39,6 +39,8 @@ class BoundaryCurve:
     def __post_init__(self):
         if self.orientation not in (OUTER, INNER):
             raise GeometryError(f"orientation must be 'outer' or 'inner', got {self.orientation!r}")
+        if not all(map(math.isfinite, self.center)):
+            raise GeometryError(f"center must be finite, got {self.center}")
 
     # polar graph and its θ-derivatives; subclasses override
     def _r(self, theta):
@@ -107,8 +109,8 @@ class Circle(BoundaryCurve):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.radius <= 0:
-            raise GeometryError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise GeometryError(f"radius must be finite and positive, got {self.radius}")
 
     def _r(self, theta):
         return np.full_like(np.asarray(theta, dtype=float), self.radius)
@@ -132,9 +134,9 @@ class CosinePerturbedCircle(BoundaryCurve):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.k < 1 or self.k != int(self.k):
+        if not (math.isfinite(self.k) and self.k >= 1 and self.k == int(self.k)):
             raise GeometryError(f"frequency k must be a positive integer, got {self.k}")
-        if self.b - abs(self.a) <= 0:
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b - abs(self.a) > 0):
             raise GeometryError(f"need b - |a| > 0 for a positive-radius graph (a={self.a}, b={self.b})")
 
     def _r(self, theta):
@@ -172,7 +174,7 @@ class AnnularDomain:
             raise GeometryError("outer curve must have 'outer' orientation")
         if self.inner.orientation != INNER:
             raise GeometryError("inner curve must have 'inner' orientation")
-        if self.gap() <= 0:
+        if not self.gap() > 0:  # also catches NaN
             raise GeometryError("inner curve does not lie strictly inside the outer curve")
 
     def gap(self):

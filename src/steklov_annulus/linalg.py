@@ -10,13 +10,14 @@ discrete Dirichlet-to-Neumann matrix and w the trace Eᵀu.  S is never
 formed: G = Eᵀ·(K + M_∂)⁻¹·E = (S + M_bb)⁻¹ is its shifted inverse at
 σ = −1.  ARPACK's Lanczos iteration runs in shift-invert mode on G·M_bb,
 whose largest eigenvalues 1/(1 + λ) belong to the smallest λ, on vectors of
-length n_b; each application of G is one solve with a single sparse LU of
-K + M_∂, right-hand side scattered onto the boundary.  No dense operator is
-formed.
-K + M_∂ is factored in the order it is given (SuperLU's NATURAL ordering,
-diagonal pivots).  The annular meshes number their vertices in a
-fill-reducing elimination order (`mesher`), so this module makes no
-ordering choice itself.
+length n_b; each application of G is one solve with a single Cholesky
+factor of K + M_∂, right-hand side scattered onto the boundary.  No dense
+operator is formed.
+K + M_∂ is factored in the order it is given, as a band matrix: LAPACK's
+band Cholesky (dpbtrf) works on its lower band, of the half-bandwidth its
+sparsity pattern shows, and dpbtrs applies the factor.  The annular meshes
+number their vertices so that the band is 2N_r + 3 wide (`mesher`); this
+module makes no ordering choice itself.
 One more block solve lifts the converged traces w to full vertex vectors
 u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w, on which every pair is checked against
 RESIDUAL_BOUND: K·u − λ·M_∂·u, computed as (K + M_∂)·u − (1 + λ)·M_∂·u,
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 # largest accepted ‖K·v − λ·M_∂·v‖ / ((1 + λ)·‖M_∂·v‖) of a returned pair
 RESIDUAL_BOUND = 1e-8
@@ -52,10 +54,10 @@ def steklov_eigs(shifted: sp.spmatrix, boundary_mass: sp.spmatrix,
 
     shifted is K + M_∂ over all vertices; boundary_mass is M_bb, indexed by
     position in boundary_dofs.  K + M_∂ is factored in its own vertex
-    numbering; any numbering gives the same pairs up to round-off, only
-    fill and speed depend on it.  Returns the ascending eigenvalues and the
-    boundary traces as columns, in boundary_dofs order and normalized to
-    vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most n_b − 1, ARPACK's
+    numbering; any numbering gives the same pairs up to round-off, only the
+    band width, and with it memory and speed, depend on it.  Returns the
+    ascending eigenvalues and the boundary traces as columns, in
+    boundary_dofs order and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most n_b − 1, ARPACK's
     limit on the boundary pencil), so both copies of a double eigenvalue at
     the end of the requested range come back: Lanczos finds the second copy
     only through round-off and locking, and asked for exactly `count` pairs
@@ -67,18 +69,14 @@ def steklov_eigs(shifted: sp.spmatrix, boundary_mass: sp.spmatrix,
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
     mbb = sp.csc_matrix(boundary_mass)
-    try:
-        # K + M_∂ is SPD: diagonal pivots in a symmetric ordering are stable
-        lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise EigensolveError(f"sparse LU factorization failed: {exc}") from exc
+    factor = _band_cholesky(shifted)
 
     def lift(traces):
-        """(K + M_∂)⁻¹·E·traces: one LU solve, every column at once."""
-        rhs = np.zeros((n,) + traces.shape[1:])
+        """(K + M_∂)⁻¹·E·traces: one band solve, every column at once."""
+        # Fortran order, so that dpbtrs solves in place without a copy
+        rhs = np.zeros((n,) + traces.shape[1:], order="F")
         rhs[boundary_dofs] = traces
-        return lu.solve(rhs)
+        return dpbtrs(factor, rhs, lower=1, overwrite_b=1)[0]
 
     g = LinearOperator((nb, nb), matvec=lambda w: lift(w)[boundary_dofs], dtype=float)
     v0 = np.random.default_rng(0).standard_normal(nb)  # fixed, so runs repeat exactly
@@ -108,3 +106,28 @@ def steklov_eigs(shifted: sp.spmatrix, boundary_mass: sp.spmatrix,
     if not worst <= RESIDUAL_BOUND:  # also catches NaN
         raise EigensolveError(f"eigenpair residual {worst:.3g} exceeds {RESIDUAL_BOUND:g}")
     return eigenvalues, on_boundary
+
+
+def _band_cholesky(a):
+    """Lower Cholesky factor of the SPD CSC matrix a in LAPACK band storage,
+    (kd+1, n): entry (i − j, j) holds L[i, j], kd the largest i − j of a
+    stored entry.
+
+    The band is packed C-ordered as (n, kd+1) and factored through its
+    transpose, which is Fortran-ordered, so dpbtrf overwrites it in place
+    and dpbtrs reads it without a copy.  Raises EigensolveError unless a is
+    positive definite and finite: dpbtrf reports a nonpositive pivot, and a
+    NaN reaches the diagonal of the factor.
+    """
+    rows = a.indices
+    cols = np.repeat(np.arange(a.shape[0], dtype=rows.dtype), np.diff(a.indptr))
+    lower = rows >= cols
+    rows, cols = rows[lower], cols[lower]
+    offset = rows - cols
+    band = np.zeros((a.shape[0], int(offset.max(initial=0)) + 1))
+    band[cols, offset] = a.data[lower]
+    factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+    if info != 0 or not np.all(np.isfinite(factor[0])):
+        raise EigensolveError(f"band Cholesky factorization failed (LAPACK info {info}): "
+                              "K + M_∂ is not positive definite and finite")
+    return factor

@@ -11,19 +11,20 @@ and rolls of it (`_split_quads`).  The tangle check here and the cotangent
 weights of the assembly (`fem`) read the same edge vectors and cross
 products.
 
-Vertices are numbered in elimination order, so that K + M_∂ assembled on
-the mesh factors without fill-reducing permutation.  The ring numbering
-(vertex i of ring j is j·N_θ + i) depends on (N_θ, N_r) alone, and so does
-the graph of K + M_∂ up to the diagonal each quad takes.  The order is
-therefore computed once per resolution and process: SciPy's minimum-degree
-ordering of the union stencil, in which every quad carries both diagonals.
-That graph contains the stiffness graph of every mesh of the resolution, and
-the boundary-mass couplings are quad edges.  Each vertex is then numbered by
-the step at which it is eliminated.  The CSC pattern of the union stencil
-in that numbering is cached beside the order (`_union_pattern`).  Assembly
-writes K + M_∂ straight into its data array; the diagonal a quad does not
-take holds an explicit zero.  That costs no fill, because the order was
-chosen for the union stencil, both diagonals included.
+Vertices are numbered θ-major with the periodic θ columns folded, so that
+K + M_∂ assembled on the mesh is a band matrix, which `linalg` factors as
+it is.  Vertex i of ring j is slot(i)·(N_r+1) + j, with slot(i) = 2i for
+i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise: the θ columns are laid out
+0, N_θ−1, 1, N_θ−2, …, so columns adjacent in θ, the wrap from N_θ−1 to 0
+included, sit at most two slots apart (unfolded, the wrap would span the
+whole matrix).  Every edge of the union stencil, in which every quad carries
+both diagonals, therefore joins vertices at most 2N_r + 3 numbers apart,
+the half-bandwidth of K + M_∂.  That graph contains the stiffness graph of
+every mesh of the resolution, and the boundary-mass couplings are quad
+edges.  Its CSC pattern depends on (N_θ, N_r) alone and is cached per
+resolution and process (`_union_pattern`).  Assembly writes K + M_∂
+straight into its data array; the diagonal a quad does not take holds an
+explicit zero, inside the band.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .geometry import TWO_PI, AnnularDomain
 
@@ -51,8 +51,8 @@ class Mesh:
     triangles: (T, 3) int array, counterclockwise.
     inner_loop / outer_loop: vertex indices of the boundary rings, ordered by
     increasing θ; loop_theta holds the shared parameter values θ_i.
-    Vertices are numbered in the fill-reducing elimination order of the
-    resolution (module docstring).
+    Vertices are numbered in the folded θ-major order of the resolution
+    (module docstring).
     """
 
     vertices: np.ndarray
@@ -92,10 +92,10 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
                        grading: float = 1.0) -> Mesh:
     """Transfinite mesh with N_θ angular divisions and N_r radial layers.
 
-    Each quad is split along its shorter diagonal, and each vertex numbered
-    by its elimination step.  Raises MeshingError for a grading that is not
-    finite and positive and, naming the offending θ, if the blend tangles
-    (nonpositive triangle area).
+    Each quad is split along its shorter diagonal, and the vertices are
+    numbered in folded θ-major order.  Raises MeshingError for a grading
+    that is not finite and positive and, naming the offending θ, if the
+    blend tangles (nonpositive triangle area).
     """
     if n_theta < 16:
         raise MeshingError(f"n_theta must be >= 16, got {n_theta}")
@@ -118,21 +118,27 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
         bad_theta = theta[np.unravel_index(np.argmin(cross), cross.shape)[-1]]
         raise MeshingError(f"tangled mesh: nonpositive triangle area near theta={bad_theta:.6f}")
 
-    # renumber: ring vertex v becomes vertex step[v], its elimination step
-    step = _elimination_steps(n_theta, n_radial)
-    vertices = np.empty((len(step), 2))
+    number = _numbering(n_theta, n_radial)
+    vertices = np.empty((number.size, 2))
     for k in (0, 1):  # one coordinate at a time scatters contiguous data
-        vertices[step, k] = ring[k].ravel()
+        vertices[number, k] = ring[k]
     return Mesh(vertices=vertices, triangles=_triangles(n_theta, n_radial, use_ac),
-                inner_loop=step[:n_theta], outer_loop=step[n_radial * n_theta:],
+                inner_loop=number[0], outer_loop=number[-1],
                 loop_theta=theta, n_theta=n_theta, n_radial=n_radial)
+
+
+def _numbering(n_theta, n_radial):
+    """Mesh number of every ring vertex, (N_r+1, N_θ) int32: vertex i of
+    ring j is slot(i)·(N_r+1) + j (module docstring)."""
+    i = np.arange(n_theta, dtype=np.int32)
+    slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
+    return (n_radial + 1) * slot + np.arange(n_radial + 1, dtype=np.int32)[:, None]
 
 
 def _ring_vertices(mesh):
     """The vertices of a mesh in ring space, (2, N_r+1, N_θ): x and y of
-    vertex i of ring j, mesh vertex step[j·N_θ + i]."""
-    step = _elimination_steps(mesh.n_theta, mesh.n_radial)
-    return np.take(mesh.vertices.T, step, axis=1).reshape(2, mesh.n_radial + 1, mesh.n_theta)
+    vertex i of ring j."""
+    return mesh.vertices.T[:, _numbering(mesh.n_theta, mesh.n_radial)]
 
 
 def _split_quads(ring):
@@ -160,54 +166,16 @@ def _split_quads(ring):
 
 
 def _triangles(n_theta, n_radial, use_ac):
-    """CCW triangles, elimination-numbered, of the quads split as use_ac
-    says: layer by layer, the first triangles of its quads ((a, b, c) or
+    """CCW triangles, mesh-numbered, of the quads split as use_ac says:
+    layer by layer, the first triangles of its quads ((a, b, c) or
     (a, b, d)), then the second ones ((a, c, d) or (b, c, d))."""
     splits = _union_pattern(n_theta, n_radial).triangles
     return np.where(use_ac[:, None, :, None], splits[0], splits[1]).reshape(-1, 3)
 
 
-def _quad_corners(n_theta, n_radial):
-    """Ring numbers of the CCW quads (inner θ_i, outer θ_i, outer θ_{i+1},
-    inner θ_{i+1}) of every layer, four (N_r, N_θ) arrays.  Vertex i of ring j
-    is j·N_θ + i; ring 0 is the inner boundary."""
-    ring = n_theta * np.arange(n_radial)[:, None]
-    ii = np.arange(n_theta)
-    a = ring + ii
-    d = ring + (ii + 1) % n_theta
-    return a, a + n_theta, d + n_theta, d
-
-
-@functools.lru_cache(maxsize=16)
-def _elimination_steps(n_theta, n_radial):
-    """Minimum-degree elimination step of each ring-numbered vertex of the
-    union stencil.
-
-    SuperLU's MMD ordering of A + Aᵀ, read off one factorization of a
-    diagonally dominant, hence SPD, matrix whose graph joins all four
-    corners of every quad.  The ordering sees only the graph; the values
-    just let the factorization, with the eigensolver's options, succeed.
-    """
-    a, b, c, d = _quad_corners(n_theta, n_radial)
-    p = np.concatenate([a, b, c, d, a, b], axis=None)
-    q = np.concatenate([b, c, d, a, c, d], axis=None)
-    n = (n_radial + 1) * n_theta
-    diag = np.arange(n)
-    degree = np.bincount(p, minlength=n) + np.bincount(q, minlength=n)
-    spd = sp.csc_matrix((np.concatenate([-np.ones(2 * len(p)), degree + 1.0]),
-                         (np.concatenate([p, q, diag]), np.concatenate([q, p, diag]))),
-                        shape=(n, n))
-    # perm_c[v] is the step at which v is eliminated; perm_c is a view into
-    # the factor, so the cache keeps a copy and lets the factor go
-    steps = splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                 options={"SymmetricMode": True}).perm_c.copy()
-    steps.setflags(write=False)
-    return steps
-
-
 def _union_matrix(vertex, radial, around, on_ac, on_bd):
-    """The elimination-numbered CSC matrix on the union stencil with the
-    given ring-space entries, each edge's in both of its places.
+    """The mesh-numbered CSC matrix on the union stencil with the given
+    ring-space entries, each edge's in both of its places.
 
     vertex (N_r+1, N_θ) is the diagonal; radial (N_r, N_θ) couples (j, i)
     and (j+1, i), around (N_r+1, N_θ) couples (j, i) and (j, i+1), and
@@ -226,9 +194,9 @@ class _Pattern(NamedTuple):
 
     indptr, indices: the canonical CSC pattern of the union stencil (every
     vertex, ring edge, radial edge and both diagonals of every quad) in
-    elimination numbering.  gather: entry s of its data array is entry
-    gather[s] of the ring-space values `_union_matrix` lays out one after
-    another; an edge gives both of its entries.  triangles:
+    mesh numbering.  gather: entry s of its data array is entry gather[s]
+    of the ring-space values `_union_matrix` lays out one after another;
+    an edge gives both of its entries.  triangles:
     (2, N_r, 2, N_θ, 3), the mesh triangles of every quad split along ac
     (first) and along bd (second), in the order `_triangles` lays out.
     """
@@ -242,16 +210,17 @@ class _Pattern(NamedTuple):
 @functools.lru_cache(maxsize=16)
 def _union_pattern(n_theta, n_radial):
     """The `_Pattern` of a resolution, read-only; each array owns its memory."""
-    step = _elimination_steps(n_theta, n_radial)
-    a, b, c, d = _quad_corners(n_theta, n_radial)
-    n = len(step)
-    vertex = np.arange(n).reshape(n_radial + 1, n_theta)
+    vertex = _numbering(n_theta, n_radial)
+    nxt = np.roll(vertex, -1, axis=1)  # vertex i+1 of each ring
+    # the CCW corners of quad (j, i), ring 0 the inner boundary
+    a, b, c, d = vertex[:-1], vertex[1:], nxt[1:], nxt[:-1]
+    n = vertex.size
     # value k couples p[k] and q[k]; the first n are the vertices themselves
     p = np.concatenate([vertex, a, vertex, a, b], axis=None)
-    q = np.concatenate([vertex, b, np.roll(vertex, -1, axis=1), c, d], axis=None)
+    q = np.concatenate([vertex, b, nxt, c, d], axis=None)
     value = np.arange(len(p))
-    rows = step[np.concatenate([p, q[n:]])]
-    cols = step[np.concatenate([q, p[n:]])]
+    rows = np.concatenate([p, q[n:]])
+    cols = np.concatenate([q, p[n:]])
     order = np.lexsort((rows, cols))
 
     def split(first, second):
@@ -262,7 +231,7 @@ def _union_pattern(n_theta, n_radial):
         indptr=np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32),
         indices=rows[order].astype(np.int32),
         gather=np.concatenate([value, value[n:]])[order].astype(np.int32),
-        triangles=step[splits])
+        triangles=splits)
     for arr in pattern:
         arr.setflags(write=False)
     return pattern

@@ -250,9 +250,10 @@ class TestMetamorphic:
         """A translation row and its mirror row have the same λ₁: (d, 0) and
         (−d, 0) on the x-axis tables, (−d, d) and (d, −d) on the diagonal ones.
         The two meshes are congruent, but mirrored vertices get different
-        numbers in the elimination order the mesher numbers them by, which
-        has no mirror symmetry; so this also shows that the order does not
-        bias the eigenvalues.
+        numbers in the folded θ-major order the mesher numbers them by,
+        which has no mirror symmetry (θ_i mirrors to θ_{N_θ−i}, the fold
+        pairs it with θ_{N_θ−1−i}); so this also shows that the order does
+        not bias the eigenvalues.
         `run_translation_table` solves only d ≤ 0 and relies on this at every
         offset."""
         eps, direction = TRANSLATION_TABLES[table]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steklov_annulus.geometry import (INNER, OUTER, TWO_PI, AnnularDomain,
-                                      Circle, CosinePerturbedCircle,
+                                      BoundaryCurve, Circle, CosinePerturbedCircle,
                                       GeometryError, PerturbationField,
                                       amplitude_for_perimeter)
 
@@ -33,6 +33,15 @@ class TestCircle:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(GeometryError):
             Circle(radius=0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, radius):
+        with pytest.raises(GeometryError):
+            Circle(radius=radius)
+
+    def test_nonfinite_center_rejected(self):
+        with pytest.raises(GeometryError):
+            Circle(radius=0.3, center=(math.nan, 0.0), orientation=INNER)
 
 
 class TestCosinePerturbedCircle:
@@ -73,6 +82,12 @@ class TestCosinePerturbedCircle:
         with pytest.raises(GeometryError):
             CosinePerturbedCircle(a=0.5, k=2, b=0.4)
 
+    @pytest.mark.parametrize("params", [{"a": math.nan}, {"b": math.nan}, {"k": math.nan}],
+                             ids=["a", "b", "k"])
+    def test_nonfinite_parameters_rejected(self, params):
+        with pytest.raises(GeometryError):
+            CosinePerturbedCircle(**{"a": 0.05, "k": 3, "b": 0.4, **params})
+
 
 class TestPerimeterSurrogate:
     def test_surrogate_closed_form_vs_quadrature(self):
@@ -107,6 +122,15 @@ class TestAnnularDomain:
         with pytest.raises(GeometryError):
             AnnularDomain(outer=Circle(radius=1.0),
                           inner=Circle(center=(0.9, 0.0), radius=0.3, orientation=INNER))
+
+    def test_nan_gap_rejected(self):
+        """A NaN gap is no clearance: `gap() <= 0` alone lets it through."""
+        class NanCurve(BoundaryCurve):
+            def _r(self, theta):
+                return np.full_like(theta, math.nan)
+
+        with pytest.raises(GeometryError):
+            AnnularDomain(outer=Circle(radius=1.0), inner=NanCurve(orientation=INNER))
 
     def test_orientation_enforced(self):
         with pytest.raises(GeometryError):

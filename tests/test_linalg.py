@@ -1,22 +1,21 @@
 import gc
-import os
-import subprocess
-import sys
+import math
+import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from steklov_annulus import analytic, linalg, mesher
 from steklov_annulus.fem import assemble, boundary_mass, solve_domain
 from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
 from steklov_annulus.linalg import EigensolveError, steklov_eigs
-from steklov_annulus.mesher import build_annular_mesh
+from steklov_annulus.mesher import MeshingError, build_annular_mesh
 
 
 def annulus(radius, center=(0.0, 0.0)):
@@ -39,7 +38,7 @@ def relabel(system, label):
 
 def ring_labels(mesh):
     """Ring number of each mesh vertex (vertex i of ring j is j·N_θ + i)."""
-    return np.argsort(mesher._elimination_steps(mesh.n_theta, mesh.n_radial))
+    return np.argsort(mesher._numbering(mesh.n_theta, mesh.n_radial), axis=None)
 
 
 def dense_dtn(system):
@@ -145,22 +144,15 @@ class TestSmallestEigenpairs:
         double λ₁ slows convergence (64 over all vertices at eigsh's
         default tolerance)."""
         n = len(build_annular_mesh(annulus(0.3), 256, 24).vertices)
-        real_splu = linalg.splu
+        real_dpbtrs = linalg.dpbtrs
         solves = []
 
-        class CountedFactor:
-            def __init__(self, factor):
-                self.factor = factor
+        def counted_dpbtrs(factor, rhs, *args, **kwargs):
+            assert factor.shape[1] == n  # the one factor is of K + M_∂
+            solves.append(rhs.shape)
+            return real_dpbtrs(factor, rhs, *args, **kwargs)
 
-            def solve(self, rhs):
-                solves.append(rhs.shape)
-                return self.factor.solve(rhs)
-
-        def counted_splu(a, *args, **kwargs):
-            assert a.shape[0] == n  # the one factor is of K + M_∂
-            return CountedFactor(real_splu(a, *args, **kwargs))
-
-        monkeypatch.setattr(linalg, "splu", counted_splu)
+        monkeypatch.setattr(linalg, "dpbtrs", counted_dpbtrs)
         solve_domain(annulus(0.3), 256, 24, count=3)
         assert 0 < len(solves) <= 40
 
@@ -182,8 +174,9 @@ class TestEliminationOrder:
         """The mesh's own numbering, the same system relabelled back to ring
         order and one relabelled by a seeded random permutation give the same
         eigenvalues to 1e-12 and, up to sign, the same traces of the simple
-        eigenvalues to 1e-10."""
-        n = eccentric.stiffness.shape[0]
+        eigenvalues to 1e-10.  The relabelled bands are wide (N_θ + 1 in
+        ring order, nearly n at random), which costs time, not accuracy."""
+        n = eccentric.shifted.shape[0]
         ref_lams, ref_vecs = eigs(eccentric, 6)
         assert np.all(np.diff(ref_lams) > 1e-3)  # simple; the closest pair is λ₃, λ₄
         for label in (ring_labels(eccentric.mesh), np.random.default_rng(7).permutation(n)):
@@ -193,46 +186,50 @@ class TestEliminationOrder:
             vecs = vecs * np.sign(np.sum(vecs * ref_vecs, axis=0))
             np.testing.assert_allclose(vecs, ref_vecs, rtol=0.0, atol=1e-10)
 
-    def test_cached_order_is_one_fixed_permutation(self, eccentric):
-        """One read-only permutation of the vertices per resolution, equal
-        across calls and in a fresh interpreter, so that runs repeat exactly.
-        It owns its memory: a view of SuperLU's perm_c would keep the whole
-        union-stencil factor alive in the cache."""
-        steps = mesher._elimination_steps(32, 4)
-        np.testing.assert_array_equal(np.sort(steps), np.arange(eccentric.stiffness.shape[0]))
-        assert not steps.flags.writeable
-        assert steps.base is None
-        assert mesher._elimination_steps(32, 4) is steps
-        np.testing.assert_array_equal(build_annular_mesh(annulus(0.2), 32, 4).inner_loop,
-                                      steps[:32])
-        env = dict(os.environ, PYTHONPATH=str(Path(mesher.__file__).resolve().parents[1]))
-        fresh = subprocess.run(
-            [sys.executable, "-c", "from steklov_annulus.mesher import _elimination_steps;"
-             " print(_elimination_steps(32, 4).tolist())"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert fresh.strip() == str(steps.tolist())
+    @settings(max_examples=40, deadline=None)
+    @given(n_theta=st.integers(16, 64), n_radial=st.integers(2, 8),
+           radius=st.floats(0.05, 0.6),
+           center=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           grading=st.floats(1.0, 1.3))
+    def test_band_of_folded_numbering(self, n_theta, n_radial, radius, center, grading):
+        """On any meshable eccentric, graded hole, odd or even N_θ, every
+        entry of K + M_∂ lies within 2N_r + 3 of the diagonal, and the
+        boundary loops sit where the folded θ-major numbering puts them:
+        θ column i in slot 2i for i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise,
+        the inner loop at slot·(N_r+1), the outer one N_r further."""
+        assume(math.hypot(*center) + radius < 0.95)
+        domain = annulus(radius, center)
+        try:
+            mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
+        except MeshingError:
+            assume(False)
+        shifted = assemble(mesh).shifted.tocoo()
+        assert np.max(np.abs(shifted.row - shifted.col)) <= 2 * n_radial + 3
+        i = np.arange(n_theta)
+        slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
+        np.testing.assert_array_equal(mesh.inner_loop, slot * (n_radial + 1))
+        np.testing.assert_array_equal(mesh.outer_loop, slot * (n_radial + 1) + n_radial)
 
     def test_cached_pattern_is_factor_ready(self, monkeypatch):
         """One read-only int32 union-stencil pattern per resolution, the same
-        object on every call and owning its memory (no view into a SuperLU
-        object).  The matrix a solve hands to splu is K + M_∂ written into
-        it: canonical CSC with int32 indices, which SuperLU takes as it is,
-        one entry per vertex and two per ring edge, radial edge and quad
-        diagonal (both diagonals of every quad)."""
+        object on every call and owning its memory.  The matrix a solve
+        factors is K + M_∂ written into it: canonical CSC with int32
+        indices, one entry per vertex and two per ring edge, radial edge and
+        quad diagonal (both diagonals of every quad)."""
         pattern = mesher._union_pattern(32, 4)
         assert mesher._union_pattern(32, 4) is pattern
         for arr in pattern:
             assert arr.dtype == np.int32
             assert not arr.flags.writeable
             assert arr.base is None
-        real_splu = linalg.splu
+        real_band_cholesky = linalg._band_cholesky
         factored = []
 
-        def recording_splu(a, *args, **kwargs):
+        def recording_band_cholesky(a):
             factored.append(a)
-            return real_splu(a, *args, **kwargs)
+            return real_band_cholesky(a)
 
-        monkeypatch.setattr(linalg, "splu", recording_splu)
+        monkeypatch.setattr(linalg, "_band_cholesky", recording_band_cholesky)
         solve_domain(annulus(0.3, center=(0.25, 0.1)), 32, 4, count=3)
         (shifted,) = factored
         assert shifted.format == "csc" and shifted.has_canonical_format
@@ -240,50 +237,41 @@ class TestEliminationOrder:
         assert np.shares_memory(shifted.indices, pattern.indices)
         assert shifted.nnz == 5 * 32 + 2 * 32 * (4 * 4 + 1)
 
-    def test_mesh_numbering_is_fill_reducing(self):
-        """Factored in its own numbering, as steklov_eigs does, K + M_∂ of an
-        eccentric 64×8 mesh has at most 1.1× the L + U entries that SuperLU's
-        minimum-degree ordering gives the ring-numbered matrix (ring order
-        itself gives about 4.6× as many)."""
-        system = assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 64, 8))
-        n = system.shifted.shape[0]
-
-        def fill(label, permc_spec):
-            lu = scipy.sparse.linalg.splu(relabel(system, label)[0], permc_spec=permc_spec,
-                                          diag_pivot_thresh=0.0,
-                                          options={"SymmetricMode": True})
-            return lu.L.nnz + lu.U.nnz
-
-        assert fill(np.arange(n), "NATURAL") <= 1.1 * fill(ring_labels(system.mesh),
-                                                           "MMD_AT_PLUS_A")
-
     def test_no_factor_outlives_the_solve(self, monkeypatch):
-        """Reference counting alone frees every LU factor when steklov_eigs
-        returns: with the cyclic collector off, a reference cycle through a
-        factor would keep it and all its fill alive."""
-        real_splu = linalg.splu
-        factors = []
+        """Reference counting alone frees the band array, which holds the
+        Cholesky factor, when steklov_eigs returns: with the cyclic
+        collector off, a reference cycle through the factor would keep it
+        alive."""
+        real_dpbtrf = linalg.dpbtrf
+        bands = []
 
-        class Factor:
-            def __init__(self, factor):
-                self.factor = factor
+        def tracked_dpbtrf(ab, *args, **kwargs):
+            bands.append(weakref.ref(ab.base))  # ab is the transpose of the band array
+            return real_dpbtrf(ab, *args, **kwargs)
 
-            def solve(self, rhs):
-                return self.factor.solve(rhs)
-
-        def tracked_splu(*args, **kwargs):
-            factor = Factor(real_splu(*args, **kwargs))
-            factors.append(weakref.ref(factor))
-            return factor
-
-        monkeypatch.setattr(linalg, "splu", tracked_splu)
+        monkeypatch.setattr(linalg, "dpbtrf", tracked_dpbtrf)
         gc.disable()
         try:
             solve_domain(annulus(0.3, center=(0.25, 0.1)), 64, 8, count=3)
-            assert len(factors) == 1
-            assert all(ref() is None for ref in factors)
+            assert len(bands) == 1
+            assert all(ref() is None for ref in bands)
         finally:
             gc.enable()
+
+    def test_factor_is_made_in_place(self):
+        """The tracemalloc peak of one 256×24 steklov_eigs stays below 1.5×
+        the bytes of its band array: the band is packed once, factored in
+        place and applied without a copy.  A C-ordered band would make f2py
+        copy it inside dpbtrf or on every dpbtrs call, a second band."""
+        system = assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 256, 24))
+        band_bytes = system.shifted.shape[0] * (2 * 24 + 3 + 1) * 8
+        tracemalloc.start()
+        try:
+            eigs(system, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * band_bytes
 
 
 class TestSolverFailure:
@@ -292,6 +280,22 @@ class TestSolverFailure:
         k = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
         with pytest.raises(EigensolveError):
             steklov_eigs(k, sp.identity(2, format="csr"), [0, 1], 1)
+
+    def test_indefinite_matrix_raises(self, eccentric):
+        """A negative diagonal entry makes K + M_∂ indefinite: dpbtrf
+        meets a nonpositive pivot."""
+        shifted = eccentric.shifted.copy()
+        shifted[5, 5] = -1.0
+        with pytest.raises(EigensolveError, match="Cholesky"):
+            steklov_eigs(shifted, eccentric.boundary_mass, eccentric.boundary_dofs, 3)
+
+    def test_nan_entry_raises(self, eccentric):
+        """A NaN coupling does not stop dpbtrf, whose pivot test NaN
+        passes, but it reaches the diagonal of the factor."""
+        shifted = eccentric.shifted.copy()
+        shifted[0, 1] = shifted[1, 0] = np.nan  # vertices 0 and 1 share a radial edge
+        with pytest.raises(EigensolveError, match="Cholesky"):
+            steklov_eigs(shifted, eccentric.boundary_mass, eccentric.boundary_dofs, 3)
 
     def test_no_convergence_raises(self, eccentric, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -5,7 +5,7 @@ import pytest
 
 from steklov_annulus.geometry import (INNER, TWO_PI, AnnularDomain, Circle,
                                       CosinePerturbedCircle)
-from steklov_annulus.mesher import (MeshingError, _elimination_steps, _radial_fractions,
+from steklov_annulus.mesher import (MeshingError, _numbering, _radial_fractions,
                                     build_annular_mesh, radial_grading)
 
 
@@ -62,7 +62,7 @@ class TestBuild:
         mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
         verts, tris = layer_loop_mesh(domain, n_theta, n_radial, grading)
         # ring vertex v is mesh vertex step[v]
-        step = _elimination_steps(n_theta, n_radial)
+        step = _numbering(n_theta, n_radial).ravel()
         np.testing.assert_array_equal(mesh.vertices[step], verts)
         np.testing.assert_array_equal(mesh.triangles, step[tris])
 
@@ -119,14 +119,14 @@ class TestBuild:
 class TestGrading:
     def test_layers_grow_away_from_inner(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 8, grading=1.3)
-        ray = _elimination_steps(32, 8)[::32]  # θ=0 ray, ring by ring
+        ray = _numbering(32, 8)[:, 0]  # θ=0 ray, ring by ring
         radii = np.linalg.norm(mesh.vertices[ray], axis=1)
         widths = np.diff(radii)
         assert np.all(np.diff(widths) > 0)
 
     def test_unit_grading_is_uniform(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 4)
-        radii = np.linalg.norm(mesh.vertices[_elimination_steps(32, 4)[::32]], axis=1)
+        radii = np.linalg.norm(mesh.vertices[_numbering(32, 4)[:, 0]], axis=1)
         np.testing.assert_allclose(np.diff(radii), 0.7 / 4, rtol=1e-13)
         for n in (4, 12, 24, 48):
             np.testing.assert_array_equal(_radial_fractions(n, 1.0), np.arange(n + 1) / n)
