@@ -26,16 +26,20 @@ def _check_eps(eps):
         raise AnalyticError(f"inner radius must lie in (0, 1), got {eps}")
 
 
-def steklov_eig(eps: float, n: int, branch: str) -> float:
-    """Steklov eigenvalue of mode n on the annulus, lower or upper branch.
-
-    λ_n = (n/2)·P ± (n/2)·√(P² − 4/ε) with P = ((1+ε)/ε)·((1+ε^{2n})/(1−ε^{2n})).
-    """
+def _check_mode(eps, n, branch):
     _check_eps(eps)
     if n < 1:
         raise AnalyticError(f"mode must be >= 1, got {n}")
     if branch not in ("minus", "plus"):
         raise AnalyticError(f"branch must be 'minus' or 'plus', got {branch!r}")
+
+
+def steklov_eig(eps: float, n: int, branch: str) -> float:
+    """Steklov eigenvalue of mode n on the annulus, lower or upper branch.
+
+    λ_n = (n/2)·P ± (n/2)·√(P² − 4/ε) with P = ((1+ε)/ε)·((1+ε^{2n})/(1−ε^{2n})).
+    """
+    _check_mode(eps, n, branch)
     e2n = eps ** (2 * n)
     p = ((1.0 + eps) / eps) * ((1.0 + e2n) / (1.0 - e2n))
     root = math.sqrt(p * p - 4.0 / eps)
@@ -78,12 +82,21 @@ class CoeffPair:
 
 
 def solve_coeffs(eps: float, k: int, beta: float, branch: str) -> CoeffPair:
-    """Eigenvalue branch and unit-boundary-norm null vector of the 2×2 system."""
-    _check_eps(eps)
-    a, b, c = _char_poly(eps, k, beta)
+    """Eigenvalue branch and unit-boundary-norm null vector of the 2×2 system.
+
+    Raises AnalyticError where the characteristic equation leaves the
+    floating-point range (ε^(−k) and its products grow with the mode k).
+    """
+    _check_mode(eps, k, branch)
+    try:
+        a, b, c = _char_poly(eps, k, beta)
+        disc = b * b - 4.0 * a * c
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):  # also catches a coefficient that is not finite
+        raise AnalyticError(f"coefficient system of mode {k} at eps={eps} is not finite")
     if abs(a) < 1e-300:
         raise AnalyticError("defective coefficient system (degenerate characteristic equation)")
-    disc = b * b - 4.0 * a * c
     if disc < 0:
         raise AnalyticError("defective coefficient system (complex eigenvalues)")
     sq = math.sqrt(disc)

@@ -29,9 +29,13 @@ class ConfigError(ValueError):
 
 
 def read_config(path):
-    """key=value per line; '#' comments and blank lines ignored."""
+    """key=value per line of UTF-8 text; '#' comments and blank lines ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -5,11 +5,11 @@ edge by edge in ring space (see `mesher`): each quad's edge vectors give,
 through their cross and dot products, the stiffness −½(cot α + cot β) of
 each of its edges; every row's diagonal is minus its off-diagonal sum; and
 each boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values
-go straight into the data array of the resolution's cached union-stencil
-CSC pattern, indexed by the mesh's own vertex numbers, whose folded
-θ-major order keeps every entry within 2N_r + 3 of the diagonal, so
-K + M_∂ reaches the solver as a band matrix ready to factor.  K alone is
-formed only on request (`AssembledSystem.stiffness`).  The spectrum comes
+reach the solver as symmetric COO triplets over the union stencil
+(`mesher._union_matrix`), indexed by the mesh's own vertex numbers, whose
+folded θ-major order keeps every entry within 2N_r + 3 of the diagonal,
+so `linalg` packs K + M_∂ straight into a band.  K alone is formed only
+on request (`AssembledSystem.stiffness`).  The spectrum comes
 from one sparse eigensolve of the Steklov pencil, a shift-invert Lanczos
 iteration on the boundary traces (see `linalg`); only the traces are kept.
 """
@@ -34,14 +34,14 @@ class AssemblyError(ValueError):
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    shifted: sp.csc_matrix              # K + M_∂ on the union-stencil pattern, factor-ready
+    shifted: sp.coo_array               # K + M_∂ on the union stencil, each position once
     boundary_mass: sp.csr_matrix        # over boundary dofs, in boundary_dofs order
     boundary_dofs: np.ndarray           # vertex indices, inner loop then outer loop
     mesh: Mesh
 
     @functools.cached_property
-    def stiffness(self) -> sp.csc_matrix:
-        """K alone, on the same pattern; the solve never needs it."""
+    def stiffness(self) -> sp.coo_array:
+        """K alone, on the same stencil; the solve never needs it."""
         return _assemble(self.mesh, with_boundary=False)
 
 

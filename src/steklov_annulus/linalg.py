@@ -13,9 +13,10 @@ whose largest eigenvalues 1/(1 + λ) belong to the smallest λ, on vectors of
 length n_b; each application of G is one solve with a single Cholesky
 factor of K + M_∂, right-hand side scattered onto the boundary.  No dense
 operator is formed.
-K + M_∂ is factored in the order it is given, as a band matrix: LAPACK's
-band Cholesky (dpbtrf) works on its lower band, of the half-bandwidth its
-sparsity pattern shows, and dpbtrs applies the factor.  The annular meshes
+K + M_∂ is factored in the order it is given, as a band matrix: its COO
+triplets on and below the diagonal are summed into the lower band, of the
+half-bandwidth they span, LAPACK's band Cholesky (dpbtrf) factors it in
+place, and dpbtrs applies the factor.  The annular meshes
 number their vertices so that the band is 2N_r + 3 wide (`mesher`); this
 module makes no ordering choice itself.
 One more block solve lifts the converged traces w to full vertex vectors
@@ -48,12 +49,13 @@ class EigensolveError(ValueError):
     """The Steklov pencil could not be solved to the residual bound."""
 
 
-def steklov_eigs(shifted: sp.spmatrix, boundary_mass: sp.spmatrix,
+def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.spmatrix,
                  boundary_dofs, count: int):
     """`count` smallest eigenpairs of K·u = λ·M_∂·u, given K + M_∂.
 
-    shifted is K + M_∂ over all vertices; boundary_mass is M_bb, indexed by
-    position in boundary_dofs.  K + M_∂ is factored in its own vertex
+    shifted is K + M_∂ over all vertices, in any sparse format, duplicate
+    entries summed; boundary_mass is M_bb, indexed by position in
+    boundary_dofs.  K + M_∂ is factored in its own vertex
     numbering; any numbering gives the same pairs up to round-off, only the
     band width, and with it memory and speed, depend on it.  Returns the
     ascending eigenvalues and the boundary traces as columns, in
@@ -64,7 +66,7 @@ def steklov_eigs(shifted: sp.spmatrix, boundary_mass: sp.spmatrix,
     it can return the next eigenvalue in its place.
     """
     boundary_dofs = np.asarray(boundary_dofs)
-    shifted = sp.csc_matrix(shifted)
+    shifted = sp.coo_array(shifted)
     n, nb = shifted.shape[0], len(boundary_dofs)
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
@@ -109,23 +111,25 @@ def steklov_eigs(shifted: sp.spmatrix, boundary_mass: sp.spmatrix,
 
 
 def _band_cholesky(a):
-    """Lower Cholesky factor of the SPD CSC matrix a in LAPACK band storage,
+    """Lower Cholesky factor of the SPD COO matrix a in LAPACK band storage,
     (kd+1, n): entry (i − j, j) holds L[i, j], kd the largest i − j of a
     stored entry.
 
-    The band is packed C-ordered as (n, kd+1) and factored through its
-    transpose, which is Fortran-ordered, so dpbtrf overwrites it in place
-    and dpbtrs reads it without a copy.  Raises EigensolveError unless a is
-    positive definite and finite: dpbtrf reports a nonpositive pivot, and a
-    NaN reaches the diagonal of the factor.
+    The band is packed C-ordered as (n, kd+1) by one bincount over the
+    entries on and below the diagonal, which sums duplicates, and factored
+    through its transpose, which is Fortran-ordered, so dpbtrf overwrites it
+    in place and dpbtrs reads it without a copy.  Raises EigensolveError
+    unless a is positive definite and finite: dpbtrf reports a nonpositive
+    pivot, and a NaN reaches the diagonal of the factor.
     """
-    rows = a.indices
-    cols = np.repeat(np.arange(a.shape[0], dtype=rows.dtype), np.diff(a.indptr))
-    lower = rows >= cols
-    rows, cols = rows[lower], cols[lower]
-    offset = rows - cols
-    band = np.zeros((a.shape[0], int(offset.max(initial=0)) + 1))
-    band[cols, offset] = a.data[lower]
+    n = a.shape[0]
+    lower = a.row >= a.col
+    rows, cols = a.row[lower], a.col[lower]
+    kd = int(np.max(rows - cols, initial=0))
+    # entry (i, j) lands in row j, column i − j of the band, flat j·kd + i;
+    # in intp, as n·(kd+1) can pass the int32 range
+    band = np.bincount(cols.astype(np.intp) * kd + rows, weights=a.data[lower],
+                       minlength=n * (kd + 1)).reshape(n, kd + 1)
     factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(factor[0])):
         raise EigensolveError(f"band Cholesky factorization failed (LAPACK info {info}): "

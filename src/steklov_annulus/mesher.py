@@ -21,17 +21,15 @@ whole matrix).  Every edge of the union stencil, in which every quad carries
 both diagonals, therefore joins vertices at most 2N_r + 3 numbers apart,
 the half-bandwidth of K + M_∂.  That graph contains the stiffness graph of
 every mesh of the resolution, and the boundary-mass couplings are quad
-edges.  Its CSC pattern depends on (N_θ, N_r) alone and is cached per
-resolution and process (`_union_pattern`).  Assembly writes K + M_∂
-straight into its data array; the diagonal a quad does not take holds an
-explicit zero, inside the band.
+edges.  `_corners` gives the mesh numbers of every vertex and quad corner
+in ring space; `_union_matrix` lays the ring-space entries of K + M_∂ out
+on them as a symmetric COO matrix, each position once, and the diagonal a
+quad does not take holds an explicit zero, inside the band.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,17 +163,30 @@ def _split_quads(ring):
     return use_ac, edges, np.where(use_ac, ac, bd), cross
 
 
+def _corners(n_theta, n_radial):
+    """Mesh numbers in ring space: every vertex (N_r+1, N_θ), its
+    θ-successor, vertex i+1 of its ring, and the CCW corners a = (j, i),
+    b = (j+1, i), c = (j+1, i+1), d = (j, i+1) of every quad (N_r, N_θ),
+    ring 0 the inner boundary."""
+    vertex = _numbering(n_theta, n_radial)
+    nxt = np.roll(vertex, -1, axis=1)
+    return vertex, nxt, vertex[:-1], vertex[1:], nxt[1:], nxt[:-1]
+
+
 def _triangles(n_theta, n_radial, use_ac):
     """CCW triangles, mesh-numbered, of the quads split as use_ac says:
     layer by layer, the first triangles of its quads ((a, b, c) or
     (a, b, d)), then the second ones ((a, c, d) or (b, c, d))."""
-    splits = _union_pattern(n_theta, n_radial).triangles
-    return np.where(use_ac[:, None, :, None], splits[0], splits[1]).reshape(-1, 3)
+    _, _, a, b, c, d = _corners(n_theta, n_radial)
+    first = np.stack([a, b, np.where(use_ac, c, d)], axis=-1)
+    second = np.stack([np.where(use_ac, a, b), c, d], axis=-1)
+    return np.stack([first, second], axis=1).reshape(-1, 3)
 
 
 def _union_matrix(vertex, radial, around, on_ac, on_bd):
-    """The mesh-numbered CSC matrix on the union stencil with the given
-    ring-space entries, each edge's in both of its places.
+    """The mesh-numbered symmetric COO matrix on the union stencil with the
+    given ring-space entries, each edge's in both of its places, int32
+    indices, every entry once.
 
     vertex (N_r+1, N_θ) is the diagonal; radial (N_r, N_θ) couples (j, i)
     and (j+1, i), around (N_r+1, N_θ) couples (j, i) and (j, i+1), and
@@ -183,55 +194,10 @@ def _union_matrix(vertex, radial, around, on_ac, on_bd):
     (j+1, i)–(j, i+1).
     """
     n_radial, n_theta = radial.shape
-    pattern = _union_pattern(n_theta, n_radial)
-    values = np.concatenate([vertex, radial, around, on_ac, on_bd], axis=None)
-    return sp.csc_matrix((np.take(values, pattern.gather), pattern.indices, pattern.indptr),
-                         shape=(vertex.size, vertex.size))
-
-
-class _Pattern(NamedTuple):
-    """Index arrays shared by every mesh of one resolution, all int32.
-
-    indptr, indices: the canonical CSC pattern of the union stencil (every
-    vertex, ring edge, radial edge and both diagonals of every quad) in
-    mesh numbering.  gather: entry s of its data array is entry gather[s]
-    of the ring-space values `_union_matrix` lays out one after another;
-    an edge gives both of its entries.  triangles:
-    (2, N_r, 2, N_θ, 3), the mesh triangles of every quad split along ac
-    (first) and along bd (second), in the order `_triangles` lays out.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray
-    triangles: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def _union_pattern(n_theta, n_radial):
-    """The `_Pattern` of a resolution, read-only; each array owns its memory."""
-    vertex = _numbering(n_theta, n_radial)
-    nxt = np.roll(vertex, -1, axis=1)  # vertex i+1 of each ring
-    # the CCW corners of quad (j, i), ring 0 the inner boundary
-    a, b, c, d = vertex[:-1], vertex[1:], nxt[1:], nxt[:-1]
-    n = vertex.size
-    # value k couples p[k] and q[k]; the first n are the vertices themselves
-    p = np.concatenate([vertex, a, vertex, a, b], axis=None)
-    q = np.concatenate([vertex, b, nxt, c, d], axis=None)
-    value = np.arange(len(p))
-    rows = np.concatenate([p, q[n:]])
-    cols = np.concatenate([q, p[n:]])
-    order = np.lexsort((rows, cols))
-
-    def split(first, second):
-        return np.stack([np.stack(first, -1), np.stack(second, -1)], axis=1)
-
-    splits = np.stack([split((a, b, c), (a, c, d)), split((a, b, d), (b, c, d))])
-    pattern = _Pattern(
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32),
-        indices=rows[order].astype(np.int32),
-        gather=np.concatenate([value, value[n:]])[order].astype(np.int32),
-        triangles=splits)
-    for arr in pattern:
-        arr.setflags(write=False)
-    return pattern
+    number, nxt, a, b, c, d = _corners(n_theta, n_radial)
+    # the radial, ring, ac and bd edges join p to q and hold off
+    p, q, off = (a, number, a, b), (b, nxt, c, d), (radial, around, on_ac, on_bd)
+    return sp.coo_array((np.concatenate([vertex, *off, *off], axis=None),
+                         (np.concatenate([number, *p, *q], axis=None),
+                          np.concatenate([number, *q, *p], axis=None))),
+                        shape=(number.size, number.size))

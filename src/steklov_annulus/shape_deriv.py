@@ -45,9 +45,6 @@ class ShapeDerivMatrix:
     def order(self):
         return self.entries.shape[0]
 
-    def eigenvalues(self):
-        return np.linalg.eigvalsh(self.entries)
-
     def trace(self):
         return float(np.trace(self.entries))
 

@@ -76,6 +76,17 @@ class TestCoefficients:
         lam1 = solve_coeffs(0.3, 1, 0.5, "minus").lam
         assert lam1 > lam0
 
+    @pytest.mark.parametrize("eps, k, branch", [
+        (0.3, 1, "down"),      # unknown branch, once taken as "plus"
+        (0.3, -1, "minus"),    # mode below 1, once solved as λ = 0.7508
+        (0.05, 150, "minus"),  # discriminant overflows, once λ = NaN
+        (0.5, 600, "minus"),   # likewise; steklov_eig gives 600
+        (0.1, 400, "minus"),   # ε^(−k−2) overflows, once a bare OverflowError
+    ])
+    def test_invalid_or_unrepresentable_mode_raises(self, eps, k, branch):
+        with pytest.raises(AnalyticError):
+            solve_coeffs(eps, k, 0.0, branch)
+
 
 class TestNormalizedCurve:
     def test_matches_spectrum_times_perimeter(self):

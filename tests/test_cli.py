@@ -65,6 +65,13 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff")
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "eps0"])
+        assert code == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
     def test_out_path_is_a_file_is_exit_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

@@ -218,48 +218,64 @@ class TestEliminationOrder:
     def test_cached_order_is_one_fixed_permutation(self, eccentric):
         """The numbering of a resolution is one fixed permutation of the
         vertices, equal across calls and in a fresh interpreter, so that runs
-        repeat exactly; ring 0 of it is the inner loop.  The cached
-        union-stencil pattern is laid out in it and repeats as well."""
+        repeat exactly; ring 0 of it is the inner loop.  The assembled
+        K + M_∂ is laid out in it and repeats as well."""
         number = mesher._numbering(32, 4)
         np.testing.assert_array_equal(np.sort(number, axis=None),
                                       np.arange(eccentric.shifted.shape[0]))
         np.testing.assert_array_equal(mesher._numbering(32, 4), number)
         np.testing.assert_array_equal(eccentric.mesh.inner_loop, number[0])
         np.testing.assert_array_equal(eccentric.mesh.outer_loop, number[-1])
-        pattern = mesher._union_pattern(32, 4)
+        shifted = eccentric.shifted
         env = dict(os.environ, PYTHONPATH=str(Path(mesher.__file__).resolve().parents[1]))
         fresh = subprocess.run(
-            [sys.executable, "-c", "from steklov_annulus.mesher import _numbering, _union_pattern;"
-             " print(_numbering(32, 4).tolist()); print(_union_pattern(32, 4).indices.tolist())"],
+            [sys.executable, "-c",
+             "from steklov_annulus.fem import assemble;"
+             " from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle;"
+             " from steklov_annulus.mesher import _numbering, build_annular_mesh;"
+             " s = assemble(build_annular_mesh(AnnularDomain("
+             "outer=Circle(radius=1.0, orientation=OUTER), inner=Circle(radius=0.3,"
+             " center=(0.25, 0.1), orientation=INNER)), 32, 4)).shifted;"
+             " print(_numbering(32, 4).tolist()); print(s.row.tolist()); print(s.col.tolist())"],
             env=env, capture_output=True, text=True, check=True, timeout=60).stdout
-        assert fresh.split("\n")[:2] == [str(number.tolist()), str(pattern.indices.tolist())]
+        assert fresh.split("\n")[:3] == [str(number.tolist()), str(shifted.row.tolist()),
+                                         str(shifted.col.tolist())]
 
-    def test_cached_pattern_is_factor_ready(self, monkeypatch):
-        """One read-only int32 union-stencil pattern per resolution, the same
-        object on every call and owning its memory.  The matrix a solve
-        factors is K + M_∂ written into it: canonical CSC with int32
-        indices, one entry per vertex and two per ring edge, radial edge and
-        quad diagonal (both diagonals of every quad)."""
-        pattern = mesher._union_pattern(32, 4)
-        assert mesher._union_pattern(32, 4) is pattern
-        for arr in pattern:
-            assert arr.dtype == np.int32
-            assert not arr.flags.writeable
-            assert arr.base is None
-        real_band_cholesky = linalg._band_cholesky
-        factored = []
-
-        def recording_band_cholesky(a):
-            factored.append(a)
-            return real_band_cholesky(a)
-
-        monkeypatch.setattr(linalg, "_band_cholesky", recording_band_cholesky)
-        solve_domain(annulus(0.3, center=(0.25, 0.1)), 32, 4, count=3)
-        (shifted,) = factored
-        assert shifted.format == "csc" and shifted.has_canonical_format
-        assert shifted.indices.dtype == shifted.indptr.dtype == np.int32
-        assert np.shares_memory(shifted.indices, pattern.indices)
+    def test_assembled_matrix_is_the_union_stencil(self, eccentric):
+        """The K + M_∂ a solve factors is a symmetric COO matrix with int32
+        indices holding each (row, col) of the union stencil once: one entry
+        per vertex and two per ring edge, radial edge and quad diagonal (both
+        diagonals of every quad)."""
+        shifted = eccentric.shifted
+        assert shifted.format == "coo"
+        assert shifted.row.dtype == shifted.col.dtype == np.int32
         assert shifted.nnz == 5 * 32 + 2 * 32 * (4 * 4 + 1)
+        n = shifted.shape[0]
+        flat = shifted.row.astype(np.int64) * n + shifted.col
+        assert np.unique(flat).size == shifted.nnz
+        np.testing.assert_array_equal(np.sort(flat), np.sort(shifted.col.astype(np.int64) * n
+                                                             + shifted.row))
+        assert abs(shifted - shifted.T).max() == 0.0
+
+    def test_duplicate_entries_are_summed(self, eccentric):
+        """K + M_∂ with every entry split into two halves, as COO and as a
+        non-canonical CSC, gives the pairs of the assembled system: the band
+        is packed by summing duplicates, not by keeping the last one."""
+        ref_lams, ref_vecs = eigs(eccentric, 3)
+        k = sp.coo_array(eccentric.shifted)
+        half = 0.5 * k.data
+        rows, cols = np.concatenate([k.row, k.row]), np.concatenate([k.col, k.col])
+        split = sp.coo_array((np.concatenate([half, k.data - half]), (rows, cols)), shape=k.shape)
+        order = np.lexsort((rows, cols))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=k.shape[0]))])
+        doubled = sp.csc_matrix((split.data[order], rows[order], indptr), shape=k.shape)
+        assert not doubled.has_canonical_format
+        for shifted in (split, doubled):
+            lams, vecs = steklov_eigs(shifted, eccentric.boundary_mass,
+                                      eccentric.boundary_dofs, 3)
+            np.testing.assert_allclose(lams, ref_lams, rtol=0.0, atol=1e-12)
+            vecs = vecs * np.sign(np.sum(vecs * ref_vecs, axis=0))
+            np.testing.assert_allclose(vecs, ref_vecs, rtol=0.0, atol=1e-12)
 
     def test_mesh_numbering_is_fill_reducing(self):
         """Factored in its own numbering with no reordering, as steklov_eigs
@@ -320,6 +336,20 @@ class TestEliminationOrder:
             tracemalloc.stop()
         assert peak < 1.5 * band_bytes
 
+    def test_solve_domain_memory(self):
+        """The tracemalloc peak of one 256×24 solve_domain, mesh, assembly
+        and solve, stays below 2.25× the bytes of the band array (about
+        1.8×): the assembled matrix and the band are the only arrays of
+        that order, and a second copy of the band would pass the bound."""
+        band_bytes = 256 * 25 * (2 * 24 + 3 + 1) * 8
+        tracemalloc.start()
+        try:
+            solve_domain(annulus(0.3, center=(0.25, 0.1)), 256, 24, count=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * band_bytes
+
 
 class TestSolverFailure:
     def test_singular_pencil_raises(self):
@@ -331,7 +361,7 @@ class TestSolverFailure:
     def test_indefinite_matrix_raises(self, eccentric):
         """A negative diagonal entry makes K + M_∂ indefinite: dpbtrf
         meets a nonpositive pivot."""
-        shifted = eccentric.shifted.copy()
+        shifted = eccentric.shifted.tocsc()
         shifted[5, 5] = -1.0
         with pytest.raises(EigensolveError, match="Cholesky"):
             steklov_eigs(shifted, eccentric.boundary_mass, eccentric.boundary_dofs, 3)
@@ -339,7 +369,7 @@ class TestSolverFailure:
     def test_nan_entry_raises(self, eccentric):
         """A NaN coupling does not stop dpbtrf, whose pivot test NaN
         passes, but it reaches the diagonal of the factor."""
-        shifted = eccentric.shifted.copy()
+        shifted = eccentric.shifted.tocsc()
         shifted[0, 1] = shifted[1, 0] = np.nan  # vertices 0 and 1 share a radial edge
         with pytest.raises(EigensolveError, match="Cholesky"):
             steklov_eigs(shifted, eccentric.boundary_mass, eccentric.boundary_dofs, 3)
