@@ -134,9 +134,11 @@ def _fd_check_row(args):
 
 
 def _map_rows(worker, arglist, jobs):
-    if jobs <= 1:
+    # the pool starts all its workers at once: never more than there are rows
+    workers = min(jobs, len(arglist))
+    if workers <= 1:
         return [worker(a) for a in arglist]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arglist))
 
 

@@ -1,17 +1,18 @@
 """P1 finite elements for the Steklov problem on annular meshes.
 
 The solver needs K + M_∂, stiffness plus boundary mass, and assembles it
-edge by edge in ring space (see `mesher`): each quad's edge vectors give,
-through their cross and dot products, the stiffness −½(cot α + cot β) of
-each of its edges; every row's diagonal is minus its off-diagonal sum; and
-each boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values
+edge by edge from the mesh's ring array (see `mesher`), never forming its
+vertex or triangle list: each quad's edge vectors give, through their
+cross and dot products, the stiffness −½(cot α + cot β) of each of its
+edges; every row's diagonal is minus its off-diagonal sum; and each
+boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values
 reach the solver as symmetric COO triplets over the union stencil
 (`mesher._union_matrix`), indexed by the mesh's own vertex numbers, whose
 folded θ-major order keeps every entry within 2N_r + 3 of the diagonal,
 so `linalg` packs K + M_∂ straight into a band.  K alone is formed only
-on request (`AssembledSystem.stiffness`).  The spectrum comes
-from one sparse eigensolve of the Steklov pencil, a shift-invert Lanczos
-iteration on the boundary traces (see `linalg`); only the traces are kept.
+on request (`AssembledSystem.stiffness`).  The spectrum comes from one
+sparse eigensolve of the Steklov pencil, a shift-invert Lanczos iteration
+on the boundary traces (see `linalg`); only the traces are kept.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ import scipy.sparse as sp
 
 from .geometry import AnnularDomain
 from .linalg import steklov_eigs
-from .mesher import (Mesh, _ring_vertices, _split_quads, _triangles, _union_matrix,
-                     build_annular_mesh)
-
-
-class AssemblyError(ValueError):
-    pass
+from .mesher import Mesh, _split_quads, _union_matrix, build_annular_mesh
 
 
 @dataclass(frozen=True)
@@ -68,12 +64,8 @@ class SteklovSpectrum:
 
 
 def assemble(mesh: Mesh) -> AssembledSystem:
-    """K + M_∂ over all vertices plus the boundary mass over boundary dofs.
-
-    The entries follow from the vertices alone.  Raises AssemblyError
-    unless the mesh's triangles are the ring triangulation of its vertices
-    (each quad split along its shorter diagonal), all of positive area.
-    """
+    """K + M_∂ over all vertices plus the boundary mass over boundary dofs,
+    both from the mesh's ring array alone."""
     return AssembledSystem(shifted=_assemble(mesh, with_boundary=True),
                            boundary_mass=boundary_mass(mesh),
                            boundary_dofs=mesh.boundary_vertices, mesh=mesh)
@@ -81,13 +73,8 @@ def assemble(mesh: Mesh) -> AssembledSystem:
 
 def _assemble(mesh, with_boundary):
     """K, plus M_∂ if with_boundary, in one pass over the ring-space quads."""
-    n_theta, n_radial = mesh.n_theta, mesh.n_radial
-    ring = _ring_vertices(mesh)
+    ring = mesh.ring
     use_ac, edges, diagonal, cross = _split_quads(ring)
-    if not np.all(cross > 0):
-        raise AssemblyError("degenerate or inverted triangle in mesh")
-    if not np.array_equal(mesh.triangles, _triangles(n_theta, n_radial, use_ac)):
-        raise AssemblyError("mesh triangles are not the ring triangulation of its vertices")
 
     def dot(u, v):
         return u[0] * v[0] + u[1] * v[1]
@@ -108,7 +95,7 @@ def _assemble(mesh, with_boundary):
     # radial edge (j, i)–(j+1, i): side ab of quad (j, i), side cd of quad (j, i−1)
     radial = ab + np.roll(cd, 1, axis=1)
     # ring edge (j, i)–(j, i+1): side da of the quad outward of ring j, bc of the one inward
-    around = np.zeros((n_radial + 1, n_theta))
+    around = np.zeros(ring.shape[1:])
     around[:-1] = da
     around[1:] += bc
     vertex = -(around + np.roll(around, 1, axis=1))
@@ -116,7 +103,7 @@ def _assemble(mesh, with_boundary):
     vertex[1:] -= radial + on_bd + np.roll(on_ac, 1, axis=1)   # corner b or c of its layer
 
     if with_boundary:
-        for j in (0, n_radial):
+        for j in (0, -1):
             loop = np.roll(ring[:, j], -1, axis=1) - ring[:, j]
             length = np.sqrt(dot(loop, loop))
             around[j] += length / 6.0
@@ -134,14 +121,14 @@ def boundary_mass(mesh: Mesh) -> sp.csr_matrix:
     """
     rows, cols, vals = [], [], []
     offset = 0
-    for loop in (mesh.inner_loop, mesh.outer_loop):
-        lengths = np.linalg.norm(mesh.vertices[np.roll(loop, -1)] - mesh.vertices[loop], axis=1)
-        i = offset + np.arange(len(loop))
-        j = offset + np.roll(np.arange(len(loop)), -1)
+    for loop in (mesh.ring[:, 0], mesh.ring[:, -1]):
+        lengths = np.linalg.norm(np.roll(loop, -1, axis=1) - loop, axis=0)
+        i = offset + np.arange(mesh.n_theta)
+        j = offset + np.roll(np.arange(mesh.n_theta), -1)
         rows += [i, j, i, j]
         cols += [i, j, j, i]
         vals += [lengths / 3.0, lengths / 3.0, lengths / 6.0, lengths / 6.0]
-        offset += len(loop)
+        offset += mesh.n_theta
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(offset, offset)).tocsr()
 
@@ -153,7 +140,7 @@ def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
 
     # deterministic sign: boundary value at θ=0 on the outer loop >= 0; the
     # outer loop follows the inner one in boundary_dofs
-    outer_start = len(system.mesh.inner_loop)
+    outer_start = system.mesh.n_theta
     signs = np.where(vectors[outer_start, :] < 0.0, -1.0, 1.0)
     vectors = vectors * signs[None, :]
 

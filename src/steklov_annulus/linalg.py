@@ -55,15 +55,15 @@ def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.spmatrix,
 
     shifted is K + M_∂ over all vertices, in any sparse format, duplicate
     entries summed; boundary_mass is M_bb, indexed by position in
-    boundary_dofs.  K + M_∂ is factored in its own vertex
-    numbering; any numbering gives the same pairs up to round-off, only the
-    band width, and with it memory and speed, depend on it.  Returns the
-    ascending eigenvalues and the boundary traces as columns, in
-    boundary_dofs order and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most n_b − 1, ARPACK's
-    limit on the boundary pencil), so both copies of a double eigenvalue at
-    the end of the requested range come back: Lanczos finds the second copy
-    only through round-off and locking, and asked for exactly `count` pairs
-    it can return the next eigenvalue in its place.
+    boundary_dofs.  K + M_∂ is factored in its own vertex numbering; any
+    numbering gives the same pairs up to round-off, only the band width,
+    and with it memory and speed, depend on it.  Returns the ascending
+    eigenvalues and the boundary traces as columns, in boundary_dofs order
+    and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most
+    n_b − 1, ARPACK's limit on the boundary pencil), so both copies of a
+    double eigenvalue at the end of the requested range come back: Lanczos
+    finds the second copy only through round-off and locking, and asked for
+    exactly `count` pairs it can return the next eigenvalue in its place.
     """
     boundary_dofs = np.asarray(boundary_dofs)
     shifted = sp.coo_array(shifted)

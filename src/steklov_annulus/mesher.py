@@ -5,11 +5,11 @@ outer boundary parameterizations.  The construction is deterministic and
 keeps the boundary loop indexing fixed under small boundary motion, which
 the finite-difference shape-gradient checks rely on.
 
-Geometry is computed in ring space, on an (N_r+1) × N_θ array of vertices
-(ring 0 is the inner boundary): the edge vectors of every quad are slices
-and rolls of it (`_split_quads`).  The tangle check here and the cotangent
-weights of the assembly (`fem`) read the same edge vectors and cross
-products.
+A `Mesh` is its ring-space array of (N_r+1) × N_θ vertices (ring 0 is the
+inner boundary); its vertex list, triangles and boundary loops are derived
+from it, and the edge vectors of every quad are slices and rolls of it
+(`_split_quads`).  The tangle check of `Mesh` and the cotangent weights of
+the assembly (`fem`) read the same edge vectors and cross products.
 
 Vertices are numbered θ-major with the periodic θ columns folded, so that
 K + M_∂ assembled on the mesh is a band matrix, which `linalg` factors as
@@ -43,32 +43,65 @@ class MeshingError(ValueError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Conforming triangle mesh of an annulus.
+    """Conforming triangle mesh of an annulus, held as its ring-space array.
 
-    vertices: (V, 2) float array.
-    triangles: (T, 3) int array, counterclockwise.
-    inner_loop / outer_loop: vertex indices of the boundary rings, ordered by
-    increasing θ; loop_theta holds the shared parameter values θ_i.
-    Vertices are numbered in the folded θ-major order of the resolution
-    (module docstring).
+    ring: (2, N_r+1, N_θ) float array, read-only: x and y of vertex i of
+    ring j at θ_i = 2πi/N_θ; ring 0 is the inner boundary.  The rest is
+    derived from it: vertices (V, 2) in the folded θ-major numbering
+    (module docstring), CCW triangles (T, 3), each quad split along its
+    shorter diagonal, and inner_loop / outer_loop, the vertex numbers of
+    the boundary rings by increasing θ.  Raises MeshingError, naming the
+    offending θ, if a triangle has nonpositive area (the blend tangles).
     """
 
-    vertices: np.ndarray
-    triangles: np.ndarray
-    inner_loop: np.ndarray
-    outer_loop: np.ndarray
-    loop_theta: np.ndarray
-    n_theta: int
-    n_radial: int
+    ring: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.vertices, self.triangles, self.inner_loop,
-                    self.outer_loop, self.loop_theta):
-            arr.setflags(write=False)
+        self.ring.setflags(write=False)
+        cross = _split_quads(self.ring)[3]
+        if not np.all(cross > 0):
+            i = np.unravel_index(np.argmin(cross), cross.shape)[-1]
+            raise MeshingError("tangled mesh: nonpositive triangle area near "
+                               f"theta={TWO_PI * i / self.n_theta:.6f}")
+
+    @property
+    def n_theta(self):
+        return self.ring.shape[2]
+
+    @property
+    def n_radial(self):
+        return self.ring.shape[1] - 1
+
+    @property
+    def inner_loop(self):
+        return _numbering(self.n_theta, self.n_radial)[0]
+
+    @property
+    def outer_loop(self):
+        return _numbering(self.n_theta, self.n_radial)[-1]
 
     @property
     def boundary_vertices(self):
         return np.concatenate([self.inner_loop, self.outer_loop])
+
+    @property
+    def vertices(self):
+        number = _numbering(self.n_theta, self.n_radial)
+        vertices = np.empty((number.size, 2))
+        for k in (0, 1):  # one coordinate at a time scatters contiguous data
+            vertices[number, k] = self.ring[k]
+        return vertices
+
+    @property
+    def triangles(self):
+        """CCW and mesh-numbered, layer by layer: the first triangles of its
+        quads ((a, b, c) or (a, b, d)), then the second ones ((a, c, d) or
+        (b, c, d))."""
+        use_ac = _split_quads(self.ring)[0]
+        _, _, a, b, c, d = _corners(self.n_theta, self.n_radial)
+        first = np.stack([a, b, np.where(use_ac, c, d)], axis=-1)
+        second = np.stack([np.where(use_ac, a, b), c, d], axis=-1)
+        return np.stack([first, second], axis=1).reshape(-1, 3)
 
 
 def radial_grading(inner_radius):
@@ -110,19 +143,7 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
     # ring j sits at blend fraction s_j; ring 0 is the inner boundary.  x and
     # y are laid out apart, so every slice of a ring is contiguous
     inner_xy, outer_xy = np.ascontiguousarray(inner_pts.T), np.ascontiguousarray(outer_pts.T)
-    ring = (1.0 - s) * inner_xy[:, None, :] + s * outer_xy[:, None, :]
-    use_ac, _, _, cross = _split_quads(ring)
-    if not np.all(cross > 0):
-        bad_theta = theta[np.unravel_index(np.argmin(cross), cross.shape)[-1]]
-        raise MeshingError(f"tangled mesh: nonpositive triangle area near theta={bad_theta:.6f}")
-
-    number = _numbering(n_theta, n_radial)
-    vertices = np.empty((number.size, 2))
-    for k in (0, 1):  # one coordinate at a time scatters contiguous data
-        vertices[number, k] = ring[k]
-    return Mesh(vertices=vertices, triangles=_triangles(n_theta, n_radial, use_ac),
-                inner_loop=number[0], outer_loop=number[-1],
-                loop_theta=theta, n_theta=n_theta, n_radial=n_radial)
+    return Mesh((1.0 - s) * inner_xy[:, None, :] + s * outer_xy[:, None, :])
 
 
 def _numbering(n_theta, n_radial):
@@ -131,12 +152,6 @@ def _numbering(n_theta, n_radial):
     i = np.arange(n_theta, dtype=np.int32)
     slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
     return (n_radial + 1) * slot + np.arange(n_radial + 1, dtype=np.int32)[:, None]
-
-
-def _ring_vertices(mesh):
-    """The vertices of a mesh in ring space, (2, N_r+1, N_θ): x and y of
-    vertex i of ring j."""
-    return mesh.vertices.T[:, _numbering(mesh.n_theta, mesh.n_radial)]
 
 
 def _split_quads(ring):
@@ -171,16 +186,6 @@ def _corners(n_theta, n_radial):
     vertex = _numbering(n_theta, n_radial)
     nxt = np.roll(vertex, -1, axis=1)
     return vertex, nxt, vertex[:-1], vertex[1:], nxt[1:], nxt[:-1]
-
-
-def _triangles(n_theta, n_radial, use_ac):
-    """CCW triangles, mesh-numbered, of the quads split as use_ac says:
-    layer by layer, the first triangles of its quads ((a, b, c) or
-    (a, b, d)), then the second ones ((a, c, d) or (b, c, d))."""
-    _, _, a, b, c, d = _corners(n_theta, n_radial)
-    first = np.stack([a, b, np.where(use_ac, c, d)], axis=-1)
-    second = np.stack([np.where(use_ac, a, b), c, d], axis=-1)
-    return np.stack([first, second], axis=1).reshape(-1, 3)
 
 
 def _union_matrix(vertex, radial, around, on_ac, on_bd):

@@ -224,8 +224,11 @@ def fd_branch_oracle(domain: AnnularDomain, field: PerturbationField, step: floa
     Solves the FEM problem on domains displaced by ±step along the field,
     matches branches by boundary-trace overlap (sorted order fails when the
     split branches cross t = 0), and differences both λᵢ and λᵢ·|∂Ω_t|.
-    A pairing whose weaker overlap is below 0.9 counts as ambiguous.
+    A pairing whose weaker overlap is below 0.9 counts as ambiguous.  A
+    step that is zero or not finite is refused before any solve.
     """
+    if not (math.isfinite(step) and step != 0.0):
+        raise ShapeDerivError(f"step must be finite and nonzero, got {step}")
     if field.target != INNER:
         raise ShapeDerivError("finite-difference oracle supports inner-boundary fields only")
     if not isinstance(domain.inner, Circle):

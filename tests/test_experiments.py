@@ -32,3 +32,30 @@ def test_mirrored_rows_match_their_own_solve(table):
         assert row.descriptor == f"center=({center[0]:g},{center[1]:g})"
         direct = _solve_translation_row((eps, center, 64, 8))
         assert row.computed == pytest.approx(direct, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("jobs, rows, pools",
+                         [(64, 5, [5]), (2, 5, [2]), (5, 5, [5]), (64, 1, []), (64, 0, []),
+                          (1, 5, [])])
+def test_pool_has_no_more_workers_than_rows(jobs, rows, pools, monkeypatch):
+    """`--jobs` above the row count starts one worker per row, not `jobs`
+    workers, and one row or one job runs in-process; a recording stand-in
+    for the pool starts no process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, arglist):
+            return map(worker, arglist)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    assert experiments._map_rows(abs, [-k for k in range(rows)], jobs) == list(range(rows))
+    assert sizes == pools

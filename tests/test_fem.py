@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +7,10 @@ from hypothesis import strategies as st
 
 from steklov_annulus import analytic
 from steklov_annulus.experiments import EPS0, TRANSLATION_TABLES
-from steklov_annulus.fem import AssemblyError, assemble, solve_domain, solve_spectrum
+from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, Circle,
                                       CosinePerturbedCircle, amplitude_for_perimeter)
-from steklov_annulus.mesher import MeshingError, build_annular_mesh, radial_grading
+from steklov_annulus.mesher import Mesh, MeshingError, build_annular_mesh, radial_grading
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,10 +98,22 @@ class TestAssembly:
         assert abs(x @ k @ y) < 1e-13
 
     def test_inverted_triangles_rejected(self):
+        """A ring array with its rings in reverse order turns every triangle
+        clockwise; no mesh can be made of it."""
         mesh = eccentric_mesh()
-        flipped = dataclasses.replace(mesh, triangles=mesh.triangles[:, [0, 2, 1]])
-        with pytest.raises(AssemblyError):
-            assemble(flipped)
+        with pytest.raises(MeshingError, match="tangled"):
+            Mesh(mesh.ring[:, ::-1])
+
+    def test_solve_path_forms_no_vertex_or_triangle_list(self, monkeypatch):
+        """Meshing, assembly, the solve and the boundary mass all work on
+        the ring array; none of them builds the vertex or triangle list."""
+        def refuse(mesh):
+            raise AssertionError("the solve path formed a vertex or triangle list")
+
+        monkeypatch.setattr(Mesh, "vertices", property(refuse))
+        monkeypatch.setattr(Mesh, "triangles", property(refuse))
+        spectrum = solve_domain(concentric(0.3), 32, 4)
+        assert boundary_mass(spectrum.mesh).shape == (64, 64)
 
     def test_stiffness_kernel_is_constants(self):
         mesh = build_annular_mesh(concentric(0.3), 32, 4)
@@ -187,9 +198,9 @@ class TestSpectrum:
 
     def test_eigenvector_is_mode_one(self, spectrum):
         trace = spectrum.boundary_vectors[len(spectrum.mesh.inner_loop):, 1]
-        theta = spectrum.mesh.loop_theta
+        n = spectrum.mesh.n_theta
+        theta = TWO_PI * np.arange(n) / n
         # project onto cosθ/sinθ: the trace is a pure first harmonic
-        n = len(theta)
         c1 = 2.0 * np.mean(trace * np.cos(theta))
         s1 = 2.0 * np.mean(trace * np.sin(theta))
         recon = c1 * np.cos(theta) + s1 * np.sin(theta)

@@ -95,7 +95,7 @@ class TestBuild:
         assert np.all(signed_areas(mesh.vertices, mesh.triangles) > 0)
         pts = mesh.vertices[mesh.inner_loop]
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1),
-                                   inner._r(mesh.loop_theta), rtol=1e-13)
+                                   inner._r(TWO_PI * np.arange(128) / 128), rtol=1e-13)
 
     def test_resolution_floor(self, annulus):
         with pytest.raises(MeshingError):
@@ -113,7 +113,12 @@ class TestBuild:
         m1 = build_annular_mesh(moved, 32, 4)
         np.testing.assert_array_equal(m0.inner_loop, m1.inner_loop)
         np.testing.assert_array_equal(m0.outer_loop, m1.outer_loop)
-        np.testing.assert_array_equal(m0.loop_theta, m1.loop_theta)
+        # and vertex i of either inner loop sits at θ_i about its own centre
+        theta = TWO_PI * np.arange(32) / 32
+        for mesh, centre in ((m0, 0.0), (m1, 1e-3)):
+            x, y = mesh.ring[:, 0]
+            np.testing.assert_allclose(np.arctan2(y, x - centre) % TWO_PI, theta,
+                                       rtol=0.0, atol=1e-13)
 
 
 class TestGrading:

@@ -273,6 +273,14 @@ class TestFiniteDifferenceOracle:
                              PerturbationField(radial=0.0, cos_coeffs=(0.0,),
                                                sin_coeffs=(0.5,), target=INNER), 1e-3)
 
+    @pytest.mark.parametrize("step", [0.0, -0.0, float("inf"), -float("inf"), float("nan")])
+    def test_rejects_degenerate_step(self, step):
+        """A zero step would divide 0 by 0 into NaN derivatives, and an
+        infinite one would surface as a misleading circle-radius error."""
+        with pytest.raises(ShapeDerivError, match="step"):
+            fd_branch_oracle(concentric(0.3), PerturbationField(radial=1.0, target=INNER),
+                             step, n_theta=32, n_radial=4)
+
 
 class TestStationarity:
     def test_normalized_derivative_vanishes_at_critical_radius(self):
