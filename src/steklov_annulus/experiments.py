@@ -8,12 +8,15 @@ differences (0.02-0.03 for circular holes, 0.05 for perturbed ones).
 A translation table solves 5 of its 9 rows: the Steklov spectrum is
 invariant under isometries, and the hole at offset +d is the mirror image
 of the hole at −d, so the rows at d > 0 repeat the solved rows at −d
-(`_mirror`, which also builds the references).  `jobs` spreads those 5
-solves over worker processes.
+(`_mirror`, which also builds the references).  Each solved hole is
+turned onto the negative x-axis, where its mesh is mirror-symmetric and
+solves as two half problems (`_solve_translation_row`).  `jobs` spreads
+those 5 solves over worker processes.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -111,9 +114,18 @@ def translation_references(table):
 
 
 def _solve_translation_row(args):
+    """2π(1 + ε)·λ₁ of the hole of radius ε at `center`, solved as its
+    isometric copy on the negative x-axis, (−|center|, 0).  A rotation
+    leaves the spectrum unchanged, and the copy's mesh is mirror-symmetric
+    under y ↦ −y, so `fem.solve_spectrum` solves it as two half problems;
+    a diagonal table's hole at (−d, d) mirrors across y = −x instead, and
+    would be solved in one block.  When 8 | N_θ the eighth turn between
+    the two maps the θ grid onto itself and the two meshes coincide up to
+    round-off; otherwise they differ by discretization error alone."""
     eps, center, n_theta, n_radial = args
     domain = AnnularDomain(outer=Circle(orientation=OUTER, radius=1.0),
-                           inner=Circle(center=center, orientation=INNER, radius=eps))
+                           inner=Circle(center=(-math.hypot(*center), 0.0),
+                                        orientation=INNER, radius=eps))
     spec = solve_domain(domain, n_theta, n_radial, count=2, grading=radial_grading(eps))
     return float(spec.eigenvalues[1]) * TWO_PI * (1.0 + eps)
 

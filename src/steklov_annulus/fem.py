@@ -10,9 +10,12 @@ reach the solver as symmetric COO triplets over the union stencil
 (`mesher._union_matrix`), indexed by the mesh's own vertex numbers, whose
 folded θ-major order keeps every entry within 2N_r + 3 of the diagonal,
 so `linalg` packs K + M_∂ straight into a band.  K alone is formed only
-on request (`AssembledSystem.stiffness`).  The spectrum comes from one
-sparse eigensolve of the Steklov pencil, a shift-invert Lanczos iteration
-on the boundary traces (see `linalg`); only the traces are kept.
+on request (`AssembledSystem.stiffness`).  The spectrum comes from a
+shift-invert Lanczos iteration on the boundary traces (see `linalg`); only
+the traces are kept.  A mesh that is its own mirror image under y ↦ −y,
+as the mesh of every table row is, is solved as two half pencils, one on
+even and one on odd vectors, each folded from the assembled triplets into
+a band N_r + 2 wide (`_solve_halves`); any other mesh in one block.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import AnnularDomain
-from .linalg import steklov_eigs
-from .mesher import Mesh, _split_quads, _union_matrix, build_annular_mesh
+from .linalg import check_residual, lowest_pairs, steklov_eigs
+from .mesher import Mesh, _mirror_halves, _split_quads, _union_matrix, build_annular_mesh
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,14 @@ class SteklovSpectrum:
     """Ascending eigenvalues with boundary-trace eigenvectors.
 
     Eigenvectors are columns of boundary_vectors, in boundary_dofs order and
-    normalized to unit discrete boundary L² norm; sign fixed so the trace at
-    θ=0 on the outer loop is nonnegative.  The sign rule pins simple
-    eigenpairs only: inside a multiple eigenvalue (boundary_vectors[:, 1:3]
-    on a concentric annulus) the basis depends on the eigensolver and its
-    start vector.
+    normalized to unit discrete boundary L² norm; sign fixed so that the
+    first nonzero value on the outer loop, from θ=0 on, is positive (an odd
+    trace is zero at θ=0).  The sign rule pins simple eigenpairs only.  On
+    a mirrored mesh every trace is exactly even or odd under θ ↦ −θ, so
+    inside the double λ₁ of a concentric annulus (boundary_vectors[:, 1:3])
+    the basis is the cos-like and the sin-like trace, in the order of their
+    eigenvalues, which round-off splits; on any other mesh the basis inside
+    a multiple eigenvalue depends on the eigensolver and its start vector.
     """
 
     eigenvalues: np.ndarray
@@ -134,18 +140,72 @@ def boundary_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
-    """`count` smallest Steklov eigenpairs of the assembled system."""
-    eigenvalues, vectors = steklov_eigs(system.shifted, system.boundary_mass,
-                                        system.boundary_dofs, count)
+    """`count` smallest Steklov eigenpairs of the assembled system: on a
+    mirrored mesh, with count no larger than the odd half's n_b, as the
+    union of its even and odd half (`_solve_halves`); otherwise in one
+    block (`linalg.steklov_eigs`)."""
+    mesh = system.mesh
+    if 1 <= count <= 2 * ((mesh.n_theta - 1) // 2) and mesh.mirrored:
+        eigenvalues, vectors = _solve_halves(system, count)
+    else:
+        eigenvalues, vectors = steklov_eigs(system.shifted, system.boundary_mass,
+                                            system.boundary_dofs, count)
 
-    # deterministic sign: boundary value at θ=0 on the outer loop >= 0; the
-    # outer loop follows the inner one in boundary_dofs
-    outer_start = system.mesh.n_theta
-    signs = np.where(vectors[outer_start, :] < 0.0, -1.0, 1.0)
-    vectors = vectors * signs[None, :]
+    # deterministic sign: the first nonzero boundary value on the outer loop,
+    # from θ=0 on, is positive; the outer loop follows the inner one in
+    # boundary_dofs.  An odd trace is exactly zero at θ=0
+    outer = vectors[mesh.n_theta:]
+    first = outer[np.argmax(outer != 0.0, axis=0), np.arange(count)]
+    vectors = vectors * np.where(first < 0.0, -1.0, 1.0)
 
     return SteklovSpectrum(eigenvalues=eigenvalues, boundary_vectors=vectors,
-                           boundary_dofs=system.boundary_dofs, mesh=system.mesh)
+                           boundary_dofs=system.boundary_dofs, mesh=mesh)
+
+
+def _solve_halves(system, count):
+    """Eigenpairs of a mirrored mesh from its even and odd half pencils.
+
+    The mirror y ↦ −y commutes with K + M_∂ and M_∂, so their spectrum is
+    the union of the pencil restricted to even vectors and the pencil
+    restricted to odd ones.  With Q the injection of a half into all
+    vertices (1 on θ column i and on its mirror −i, negated past θ = π in
+    the odd half, `mesher._mirror_halves`), each half pencil is
+    Qᵀ(K + M_∂)Q against QᵀM_∂Q: the assembled triplets renumbered by one
+    index map and weighted by the product of two signs, duplicates summed
+    by the band packing.  Each half's band is N_r + 2 wide, and a double
+    eigenvalue with an even and an odd eigenvector splits into one simple
+    eigenvalue per half.  The constant is even, so the `count` smallest
+    pairs are among the `count` smallest even ones and the `count − 1`
+    smallest odd ones.  The half vectors are unfolded, u = Q·u_half, and
+    checked against the full pencil.
+    """
+    mesh = system.mesh
+    k, mbb, dofs = system.shifted, sp.coo_array(system.boundary_mass), system.boundary_dofs
+    eigenvalues, vectors = [], []
+    for (label, sign), computed in zip(_mirror_halves(mesh.n_theta, mesh.n_radial),
+                                       (count, count - 1)):
+        if computed == 0:
+            continue
+        data, mass = k.data, mbb.data
+        if sign is not None:
+            data = sign.take(k.row) * sign.take(k.col) * data
+            on_loops = sign.take(dofs)
+            mass = on_loops.take(mbb.row) * on_loops.take(mbb.col) * mass
+        n = int(label.max()) + 1
+        shifted = sp.coo_array((data, (label.take(k.row), label.take(k.col))), shape=(n, n))
+        # the half's boundary vertices, and where each boundary position lands among them
+        half_dofs, position = np.unique(label.take(dofs), return_inverse=True)
+        boundary_mass = sp.coo_array((mass, (position.take(mbb.row), position.take(mbb.col))),
+                                     shape=(len(half_dofs),) * 2)
+        lams, half_vectors = lowest_pairs(shifted, boundary_mass, half_dofs, computed, computed)
+        eigenvalues.append(lams)
+        vectors.append(half_vectors[label] if sign is None
+                       else sign[:, None] * half_vectors[label])
+    eigenvalues, vectors = np.concatenate(eigenvalues), np.hstack(vectors)
+    lowest = np.argsort(eigenvalues, kind="stable")[:count]
+    eigenvalues, vectors = eigenvalues[lowest], vectors[:, lowest]
+    check_residual(k, system.boundary_mass, dofs, eigenvalues, vectors)
+    return eigenvalues, vectors[dofs]
 
 
 def solve_domain(domain: AnnularDomain, n_theta: int, n_radial: int,

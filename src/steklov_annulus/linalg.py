@@ -17,12 +17,19 @@ K + M_∂ is factored in the order it is given, as a band matrix: its COO
 triplets on and below the diagonal are summed into the lower band, of the
 half-bandwidth they span, LAPACK's band Cholesky (dpbtrf) factors it in
 place, and dpbtrs applies the factor.  The annular meshes
-number their vertices so that the band is 2N_r + 3 wide (`mesher`); this
-module makes no ordering choice itself.
+number their vertices so that the band is 2N_r + 3 wide (`mesher`), and
+the mirror halves `fem` folds from them N_r + 2; this module makes no
+ordering choice itself.
 One more block solve lifts the converged traces w to full vertex vectors
 u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w, on which every pair is checked against
 RESIDUAL_BOUND: K·u − λ·M_∂·u, computed as (K + M_∂)·u − (1 + λ)·M_∂·u,
 equals (1 + λ)·E·M_bb·(w − Eᵀu), the boundary eigen-residual.
+
+`steklov_eigs` solves a pencil in one block.  Its two steps are public
+for `fem`, which solves a mirror-symmetric mesh as an even and an odd half
+pencil: `lowest_pairs`, the lifted and normalized Lanczos pairs of one
+pencil, and `check_residual`, which checks their union against the full
+pencil.
 
 ARPACK stops when the M_bb-norm of a Ritz residual of G·M_bb is below
 LANCZOS_TOL times its Ritz value 1/(1 + λ).  The check measures Euclidean
@@ -67,9 +74,23 @@ def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.spmatrix,
     """
     boundary_dofs = np.asarray(boundary_dofs)
     shifted = sp.coo_array(shifted)
-    n, nb = shifted.shape[0], len(boundary_dofs)
+    nb = len(boundary_dofs)
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
+    eigenvalues, vectors = lowest_pairs(shifted, boundary_mass, boundary_dofs,
+                                        min(count + 1, nb - 1), count)
+    check_residual(shifted, boundary_mass, boundary_dofs, eigenvalues, vectors)
+    return eigenvalues, vectors[boundary_dofs]
+
+
+def lowest_pairs(shifted, boundary_mass, boundary_dofs, computed: int, count: int):
+    """The `count` smallest of the `computed` smallest eigenpairs that the
+    Lanczos iteration returns, unchecked: ascending eigenvalues and full
+    vertex vectors u as columns, normalized to uᵀ·M_∂·u = 1.
+
+    shifted is K + M_∂ as a COO matrix; 1 ≤ count ≤ computed < n_b.
+    """
+    n, nb = shifted.shape[0], len(boundary_dofs)
     mbb = sp.csc_matrix(boundary_mass)
     factor = _band_cholesky(shifted)
 
@@ -86,20 +107,25 @@ def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.spmatrix,
         # the λ nearest σ = −1, i.e. the smallest.  Shift-invert mode never
         # applies A, so g stands in for its shape; S enters only through
         # OPinv = G = (S + M_bb)⁻¹
-        eigenvalues, traces = eigsh(g, min(count + 1, nb - 1), M=mbb, sigma=-1.0, OPinv=g,
+        eigenvalues, traces = eigsh(g, computed, M=mbb, sigma=-1.0, OPinv=g,
                                     v0=v0, tol=LANCZOS_TOL)
     except ArpackError as exc:
         raise EigensolveError(f"Lanczos iteration failed: {exc}") from exc
 
     lowest = np.argsort(eigenvalues)[:count]
-    eigenvalues = eigenvalues[lowest]
     # full vertex vectors u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w up to the
     # normalization below, whose residual is the boundary eigen-residual of w
     vectors = lift(mbb @ traces[:, lowest])
     on_boundary = vectors[boundary_dofs]
-    mv = mbb @ on_boundary  # M_∂·u, zero off the boundary
-    scale = np.sqrt(np.einsum("ij,ij->j", on_boundary, mv))
-    vectors, on_boundary, mv = vectors / scale, on_boundary / scale, mv / scale
+    scale = np.sqrt(np.einsum("ij,ij->j", on_boundary, mbb @ on_boundary))
+    return eigenvalues[lowest], vectors / scale
+
+
+def check_residual(shifted, boundary_mass, boundary_dofs, eigenvalues, vectors):
+    """Raise EigensolveError unless every pair (λ, u), u a full vertex
+    vector, has ‖K·u − λ·M_∂·u‖ / ((1 + λ)·‖M_∂·u‖) ≤ RESIDUAL_BOUND;
+    shifted is K + M_∂, boundary_mass M_bb in boundary_dofs order."""
+    mv = boundary_mass @ vectors[boundary_dofs]  # M_∂·u, zero off the boundary
     residual = shifted @ vectors
     residual[boundary_dofs] -= mv * (1.0 + eigenvalues)
     residual = (np.linalg.norm(residual, axis=0)
@@ -107,7 +133,6 @@ def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.spmatrix,
     worst = float(np.max(residual))
     if not worst <= RESIDUAL_BOUND:  # also catches NaN
         raise EigensolveError(f"eigenpair residual {worst:.3g} exceeds {RESIDUAL_BOUND:g}")
-    return eigenvalues, on_boundary
 
 
 def _band_cholesky(a):

@@ -25,6 +25,11 @@ edges.  `_corners` gives the mesh numbers of every vertex and quad corner
 in ring space; `_union_matrix` lays the ring-space entries of K + M_∂ out
 on them as a symmetric COO matrix, each position once, and the diagonal a
 quad does not take holds an explicit zero, inside the band.
+
+The mirror θ ↦ −θ maps the θ grid onto itself for any N_θ.
+`Mesh.mirrored` tells whether the ring array is symmetric under it, and
+`_mirror_halves` numbers its even and its odd half unfolded θ-major, with
+half-bandwidth N_r + 2, for `fem` to fold K + M_∂ onto.
 """
 
 from __future__ import annotations
@@ -71,6 +76,18 @@ class Mesh:
     @property
     def n_radial(self):
         return self.ring.shape[1] - 1
+
+    @property
+    def mirrored(self):
+        """Whether the mesh is its own mirror image under y ↦ −y, vertex i
+        of each ring going to vertex −i mod N_θ, to 16 ulps of its largest
+        coordinate: the angles of a mirrored pair are rounded apart, which
+        leaves up to about 1e-15 on a unit annulus."""
+        x, y = self.ring
+        mirror = -np.arange(self.n_theta) % self.n_theta
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(self.ring))
+        return bool(np.max(np.abs(x - x[:, mirror])) <= tol
+                    and np.max(np.abs(y + y[:, mirror])) <= tol)
 
     @property
     def inner_loop(self):
@@ -152,6 +169,37 @@ def _numbering(n_theta, n_radial):
     i = np.arange(n_theta, dtype=np.int32)
     slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
     return (n_radial + 1) * slot + np.arange(n_radial + 1, dtype=np.int32)[:, None]
+
+
+def _mirror_halves(n_theta, n_radial):
+    """The even and the odd half of the mirror θ ↦ −θ, each as the half
+    number (int32) and the sign of every vertex, indexed by mesh number;
+    the even half's signs are all +1 and given as None.
+
+    θ column i folds onto half column h = min(i, N_θ − i), and a half
+    numbers its columns unfolded θ-major, vertex (j, h) at
+    (h − h₀)·(N_r+1) + j, so that every stencil edge spans at most N_r + 2
+    numbers.  The even half keeps h = 0 … ⌊N_θ/2⌋.  The odd half keeps
+    h = 1 … ⌈N_θ/2⌉ − 1 with sign −1 past θ = π; an odd vector vanishes on
+    the cut columns, θ = 0 and, for even N_θ, θ = π, which get the sign 0
+    and the number of the kept column beside them, so that what they touch
+    folds to zero inside the half's band.
+    """
+    layers = n_radial + 1
+    # the θ column in each slot of the folded numbering: mesh number
+    # slot·(N_r+1) + j is vertex (j, column[slot])
+    column = np.empty(n_theta, dtype=np.int32)
+    column[_numbering(n_theta, n_radial)[0] // layers] = np.arange(n_theta)
+    h = np.minimum(column, n_theta - column)
+    ring = np.arange(layers, dtype=np.int32)
+
+    def by_number(half_column):
+        return (half_column[:, None] * layers + ring).ravel()
+
+    odd_sign = np.where((column == 0) | (2 * column == n_theta), 0.0,
+                        np.where(2 * column > n_theta, -1.0, 1.0))
+    return [(by_number(h), None),
+            (by_number(np.clip(h, 1, (n_theta - 1) // 2) - 1), np.repeat(odd_sign, layers))]
 
 
 def _split_quads(ring):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from steklov_annulus import experiments
@@ -8,7 +10,9 @@ from steklov_annulus.experiments import (TRANSLATION_TABLES, _solve_translation_
 @pytest.mark.parametrize("table", sorted(TRANSLATION_TABLES))
 def test_translation_table_solves_five_rows(table, monkeypatch):
     """Only the centres with d ≤ 0 are solved: the centred row and one row
-    of each mirror pair.  The other four rows are their mirror images."""
+    of each mirror pair.  The other four rows are their mirror images.
+    Each is solved as its copy turned onto the negative x-axis, at the same
+    distance from the origin: (d, 0) itself, (−d√2, 0) for (−d, d)."""
     real_solve = experiments.solve_domain
     calls = []
 
@@ -19,7 +23,7 @@ def test_translation_table_solves_five_rows(table, monkeypatch):
     monkeypatch.setattr(experiments, "solve_domain", counted_solve)
     rows = run_translation_table(table, 64, 8)
     assert len(rows) == 9
-    assert calls == translation_centers(table)[1][:5]
+    assert calls == [(-math.hypot(*c), 0.0) for c in translation_centers(table)[1][:5]]
 
 
 @pytest.mark.parametrize("table", sorted(TRANSLATION_TABLES))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from steklov_annulus import analytic
+from steklov_annulus import analytic, fem, linalg
 from steklov_annulus.experiments import EPS0, TRANSLATION_TABLES
 from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, Circle,
                                       CosinePerturbedCircle, amplitude_for_perimeter)
+from steklov_annulus.linalg import EigensolveError, steklov_eigs
 from steklov_annulus.mesher import Mesh, MeshingError, build_annular_mesh, radial_grading
 
 TWO_PI = 2.0 * math.pi
@@ -276,3 +277,94 @@ class TestMetamorphic:
                              64, 8, count=2, grading=radial_grading(eps)).eigenvalues[1]
                 for c in centers]
         assert lam1[1] == pytest.approx(lam1[0], rel=1e-10, abs=0.0)
+
+
+def mirror_positions(n_theta):
+    """Boundary position of the mirror image θ ↦ −θ of each boundary
+    position, inner loop then outer loop."""
+    mirror = -np.arange(n_theta) % n_theta
+    return np.concatenate([mirror, n_theta + mirror])
+
+
+class TestMirrorHalves:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["concentric", "x-axis", "cosine", "graded"]),
+           n_theta=st.integers(16, 64), n_radial=st.integers(2, 8),
+           radius=st.floats(0.1, 0.5), offset=st.floats(-0.4, 0.4),
+           k=st.integers(2, 8), amplitude=st.floats(0.0, 0.25), count=st.integers(2, 6))
+    def test_halves_match_one_block(self, kind, n_theta, n_radial, radius, offset, k,
+                                    amplitude, count):
+        """On concentric, x-axis eccentric, cosine-perturbed (k ≤ 8) and
+        graded holes, odd and even N_θ, the union of the two mirror halves
+        equals the one-block solve of the same assembled K + M_∂ to 1e-12
+        relative, and its traces are M_∂-orthonormal."""
+        grading = 1.0
+        if kind == "concentric":
+            inner = Circle(radius=radius, orientation=INNER)
+        elif kind == "cosine":
+            inner = CosinePerturbedCircle(a=amplitude * radius, k=k, b=radius, orientation=INNER)
+        else:
+            assume(abs(offset) + radius < 0.9)
+            inner = Circle(radius=radius, center=(offset, 0.0), orientation=INNER)
+            grading = 1.15 if kind == "graded" else 1.0
+        domain = AnnularDomain(outer=Circle(radius=1.0, orientation=OUTER), inner=inner)
+        try:
+            mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
+        except MeshingError:
+            assume(False)
+        assert mesh.mirrored
+        system = assemble(mesh)
+        spectrum = solve_spectrum(system, count)
+        lams, _ = steklov_eigs(system.shifted, system.boundary_mass, system.boundary_dofs, count)
+        np.testing.assert_allclose(spectrum.eigenvalues, lams, rtol=1e-12, atol=1e-12 * lams[-1])
+        v = spectrum.boundary_vectors
+        np.testing.assert_allclose(v.T @ system.boundary_mass @ v, np.eye(count), atol=1e-10)
+
+    def test_two_half_width_factors(self, monkeypatch):
+        """A concentric 256×24 solve factors exactly two half pencils, each
+        a band of half-width N_r + 2 (27 rows), and no full-width band."""
+        real_dpbtrf = linalg.dpbtrf
+        shapes = []
+
+        def recorded_dpbtrf(ab, *args, **kwargs):
+            shapes.append(ab.shape)
+            return real_dpbtrf(ab, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "dpbtrf", recorded_dpbtrf)
+        solve_domain(concentric(0.3), 256, 24, count=3)
+        assert sorted(shapes) == [(24 + 3, 127 * 25), (24 + 3, 129 * 25)]
+
+    def test_concentric_traces_have_parity(self):
+        """Every concentric trace is exactly even or exactly odd under
+        θ ↦ −θ: the double λ₁ comes back as its cos-like and its sin-like
+        trace, and two solves return the same bits."""
+        first, second = (solve_domain(concentric(0.3), 65, 6, count=6) for _ in range(2))
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(first.boundary_vectors, second.boundary_vectors)
+        v = first.boundary_vectors
+        mirrored = v[mirror_positions(65)]
+        parity = [np.array_equal(mirrored[:, c], v[:, c]) - np.array_equal(mirrored[:, c], -v[:, c])
+                  for c in range(6)]
+        assert parity[0] == 1 and sorted(parity[1:3]) == [-1, 1] and 0 not in parity
+
+    def test_odd_traces_signed_past_their_zero(self):
+        """An odd trace is exactly zero at θ = 0 on the outer loop; the sign
+        rule makes its first nonzero outer-loop value, at θ₁, positive."""
+        spectrum = solve_domain(concentric(0.3), 64, 8, count=3)
+        outer = spectrum.boundary_vectors[64:]
+        odd = outer[0] == 0.0
+        assert np.count_nonzero(odd) == 1
+        assert np.all(outer[1, odd] > 0.0) and np.all(outer[0, ~odd] > 0.0)
+
+    def test_half_pairs_are_checked_on_the_full_pencil(self, monkeypatch):
+        """The pairs of the halves are checked against the full K + M_∂:
+        eigenvalues off by 1e-6 fail the residual bound."""
+        real_pairs = fem.lowest_pairs
+
+        def perturbed(*args):
+            lams, vectors = real_pairs(*args)
+            return lams * (1.0 + 1e-6), vectors
+
+        monkeypatch.setattr(fem, "lowest_pairs", perturbed)
+        with pytest.raises(EigensolveError, match="residual"):
+            solve_domain(concentric(0.3), 32, 4, count=3)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from steklov_annulus import analytic, linalg, mesher
-from steklov_annulus.fem import assemble, boundary_mass, solve_domain
+from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
 from steklov_annulus.linalg import EigensolveError, steklov_eigs
 from steklov_annulus.mesher import MeshingError, build_annular_mesh
@@ -123,14 +123,16 @@ class TestSmallestEigenpairs:
         assert np.all(v[outer_start, :] >= 0.0)
 
     def test_extra_pair_completes_double_eigenvalue(self):
-        """Both copies of the double λ₁ of a concentric annulus at 512×48
-        match the closed form.  ARPACK finds the second copy of a double
-        eigenvalue only through round-off and locking, so asking it for
-        exactly `count` = 3 pairs here returns λ₂ ≈ 1.998 in place of the
-        second λ₁; the extra pair steklov_eigs computes prevents that."""
+        """Both copies of the double λ₁ of a concentric annulus at 512×48,
+        solved in one block, match the closed form.  ARPACK finds the second
+        copy of a double eigenvalue only through round-off and locking, so
+        asking it for exactly `count` = 3 pairs here returns λ₂ ≈ 1.998 in
+        place of the second λ₁; the extra pair steklov_eigs computes
+        prevents that.  (solve_spectrum splits this mesh into mirror halves,
+        where λ₁ is simple.)"""
         eps = 0.14054703734224616
         lam1 = analytic.steklov_eig(eps, 1, "minus")
-        lams = solve_domain(annulus(eps), 512, 48, count=3).eigenvalues
+        lams, _ = eigs(assemble(build_annular_mesh(annulus(eps), 512, 48)), 3)
         np.testing.assert_allclose(lams[1:3], lam1, rtol=1e-3)
 
     def test_double_eigenspace_matches_dense(self):
@@ -144,28 +146,41 @@ class TestSmallestEigenpairs:
         np.testing.assert_allclose(v @ v.T @ m, w @ w.T @ m, rtol=0.0, atol=1e-8)
 
     def test_lanczos_runs_on_boundary_traces(self, monkeypatch):
-        """The iteration works on boundary traces to LANCZOS_TOL: at most 40
-        solves with the K + M_∂ factor on a concentric 256×24 mesh, whose
-        double λ₁ slows convergence (64 over all vertices at eigsh's
-        default tolerance)."""
+        """The iteration works on boundary traces to LANCZOS_TOL: a
+        concentric 256×24 mesh is solved as its two mirror halves, and each
+        half's factor is applied at most 24 times (22 measured: ARPACK's
+        20-vector basis, the start and the lift).  The one factor of the
+        full K + M_∂, whose double λ₁ slows convergence, took 36 or 48, and
+        the iteration over all vertices at eigsh's default tolerance 64."""
         n = len(build_annular_mesh(annulus(0.3), 256, 24).vertices)
         real_dpbtrs = linalg.dpbtrs
         solves = []
 
         def counted_dpbtrs(factor, rhs, *args, **kwargs):
-            assert factor.shape[1] == n  # the one factor is of K + M_∂
-            solves.append(rhs.shape)
+            solves.append(factor.shape[1])
             return real_dpbtrs(factor, rhs, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "dpbtrs", counted_dpbtrs)
         solve_domain(annulus(0.3), 256, 24, count=3)
-        assert 0 < len(solves) <= 40
+        sizes, counts = np.unique(solves, return_counts=True)
+        assert len(sizes) == 2 and sizes.sum() == n  # θ = 0 and π are even only
+        assert np.all(counts <= 24)
 
     def test_largest_count(self, eccentric):
-        """count = n_b − 1 leaves no room for the extra pair and still works."""
+        """count = n_b − 1 leaves no room for the extra pair and still works.
+        On a mirrored mesh the halves hold at most n_b − 2 pairs between
+        them: up to the odd half's n_b the mesh is solved as its halves,
+        beyond it, up to n_b − 1, in one block; each matches the dense
+        reference."""
         nb = len(eccentric.boundary_dofs)
         lams, _ = eigs(eccentric, nb - 1)
         np.testing.assert_allclose(lams[1:], dense_reference(eccentric)[1:nb - 1], rtol=1e-10)
+        concentric = assemble(build_annular_mesh(annulus(0.3), 32, 4))
+        ref = dense_reference(concentric)
+        for count in (2 * 15, 2 * 15 + 1, 2 * 32 - 1):
+            lams = solve_spectrum(concentric, count).eigenvalues
+            assert abs(lams[0]) < 1e-10
+            np.testing.assert_allclose(lams[1:], ref[1:count], rtol=1e-10)
 
     def test_count_validation(self, eccentric):
         nb = len(eccentric.boundary_dofs)

@@ -5,7 +5,7 @@ import pytest
 
 from steklov_annulus.geometry import (INNER, TWO_PI, AnnularDomain, Circle,
                                       CosinePerturbedCircle)
-from steklov_annulus.mesher import (MeshingError, _numbering, _radial_fractions,
+from steklov_annulus.mesher import (Mesh, MeshingError, _numbering, _radial_fractions,
                                     build_annular_mesh, radial_grading)
 
 
@@ -119,6 +119,31 @@ class TestBuild:
             x, y = mesh.ring[:, 0]
             np.testing.assert_allclose(np.arctan2(y, x - centre) % TWO_PI, theta,
                                        rtol=0.0, atol=1e-13)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("n_theta", [64, 65])
+    @pytest.mark.parametrize("inner", [
+        Circle(radius=0.3, orientation=INNER),
+        Circle(radius=0.08, center=(-0.4, 0.0), orientation=INNER),
+        CosinePerturbedCircle(a=0.02, k=50, b=0.146721, orientation=INNER),
+    ])
+    def test_mirror_symmetric_meshes(self, inner, n_theta):
+        """Holes symmetric about the x-axis give mirrored meshes for odd and
+        even N_θ, although θ_i and θ_{N_θ−i} are rounded apart."""
+        mesh = build_annular_mesh(AnnularDomain(outer=Circle(radius=1.0), inner=inner),
+                                  n_theta, 8, grading=1.15)
+        assert mesh.mirrored
+
+    def test_asymmetry_is_seen(self, annulus):
+        """A hole off the x-axis, and one vertex moved by 1e-12, break the
+        mirror: the test works to a few ulps of the mesh's scale."""
+        off_axis = AnnularDomain(outer=Circle(radius=1.0),
+                                 inner=Circle(radius=0.3, center=(0.2, 1e-9), orientation=INNER))
+        assert not build_annular_mesh(off_axis, 64, 8).mirrored
+        ring = build_annular_mesh(annulus, 64, 8).ring.copy()
+        ring[1, 3, 5] += 1e-12
+        assert not Mesh(ring).mirrored
 
 
 class TestGrading:
