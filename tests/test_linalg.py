@@ -150,8 +150,8 @@ class TestSmallestEigenpairs:
         concentric 256×24 mesh is solved as its two mirror halves, and each
         half's factor is applied at most 24 times (22 measured: ARPACK's
         20-vector basis, the start and the lift).  The one factor of the
-        full K + M_∂, whose double λ₁ slows convergence, took 36 or 48, and
-        the iteration over all vertices at eigsh's default tolerance 64."""
+        full K + M_∂, whose double λ₁ slows convergence, took 36, and the
+        iteration over all vertices at eigsh's default tolerance 64."""
         n = len(build_annular_mesh(annulus(0.3), 256, 24).vertices)
         real_dpbtrs = linalg.dpbtrs
         solves = []
