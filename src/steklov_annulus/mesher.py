@@ -82,12 +82,13 @@ class Mesh:
         """Whether the mesh is its own mirror image under y ↦ −y, vertex i
         of each ring going to vertex −i mod N_θ, to 16 ulps of its largest
         coordinate: the angles of a mirrored pair are rounded apart, which
-        leaves up to about 1e-15 on a unit annulus."""
+        leaves up to about 1e-15 on a unit annulus.  Column 0 is its own
+        image; y is tested first, since an off-axis hole fails there."""
         x, y = self.ring
-        mirror = -np.arange(self.n_theta) % self.n_theta
         tol = 16 * np.finfo(float).eps * np.max(np.abs(self.ring))
-        return bool(np.max(np.abs(x - x[:, mirror])) <= tol
-                    and np.max(np.abs(y + y[:, mirror])) <= tol)
+        return bool(2.0 * np.max(np.abs(y[:, 0])) <= tol
+                    and np.max(np.abs(y[:, 1:] + y[:, :0:-1])) <= tol
+                    and np.max(np.abs(x[:, 1:] - x[:, :0:-1])) <= tol)
 
     @property
     def inner_loop(self):

@@ -136,14 +136,17 @@ class TestMirror:
         assert mesh.mirrored
 
     def test_asymmetry_is_seen(self, annulus):
-        """A hole off the x-axis, and one vertex moved by 1e-12, break the
-        mirror: the test works to a few ulps of the mesh's scale."""
+        """A hole off the x-axis, and one vertex moved by 1e-12 in x or y,
+        on a mirrored column pair or on the self-mirrored columns θ = 0 and
+        θ = π, break the mirror: the test works to a few ulps of the mesh's
+        scale."""
         off_axis = AnnularDomain(outer=Circle(radius=1.0),
                                  inner=Circle(radius=0.3, center=(0.2, 1e-9), orientation=INNER))
         assert not build_annular_mesh(off_axis, 64, 8).mirrored
-        ring = build_annular_mesh(annulus, 64, 8).ring.copy()
-        ring[1, 3, 5] += 1e-12
-        assert not Mesh(ring).mirrored
+        for coordinate, column in [(1, 5), (0, 5), (1, 0), (1, 32), (0, 63)]:
+            ring = build_annular_mesh(annulus, 64, 8).ring.copy()
+            ring[coordinate, 3, column] += 1e-12
+            assert not Mesh(ring).mirrored
 
 
 class TestGrading:
