@@ -9,13 +9,18 @@ boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values
 reach the solver as symmetric COO triplets over the union stencil
 (`mesher._union_matrix`), indexed by the mesh's own vertex numbers, whose
 folded θ-major order keeps every entry within 2N_r + 3 of the diagonal,
-so `linalg` packs K + M_∂ straight into a band.  K alone is formed only
-on request (`AssembledSystem.stiffness`).  The spectrum comes from a
-shift-invert Lanczos iteration on the boundary traces (see `linalg`); only
-the traces are kept.  A mesh that is its own mirror image under y ↦ −y,
-as the mesh of every table row is, is solved as two half pencils, one on
-even and one on odd vectors, each folded from the assembled triplets into
-a band N_r + 2 wide (`_solve_halves`); any other mesh in one block.
+so `linalg` packs K + M_∂ straight into a band; the boundary mass M_bb
+comes as COO triplets over the boundary loops (`mesher._loop_matrix`).
+K alone is formed only on request (`AssembledSystem.stiffness`).  The
+spectrum comes from a standard-form Lanczos iteration on the boundary
+traces (see `linalg`); only the traces are kept.  A mesh that is its own
+mirror image under y ↦ −y, as the mesh of every table row is, is solved
+as two half pencils, one on even and one on odd vectors (`_solve_halves`).
+Each half's K + M_∂ is a band N_r + 2 wide and its M_bb one 2 wide; where
+every assembled entry lands in them, and with what sign, depends on the
+resolution alone, so `mesher._half_folds` works it out once per
+resolution and a solve packs each band with one bincount over the
+assembled triplets.  Any other mesh is solved in one block.
 """
 
 from __future__ import annotations
@@ -28,13 +33,14 @@ import scipy.sparse as sp
 
 from .geometry import AnnularDomain
 from .linalg import check_residual, lowest_pairs, steklov_eigs
-from .mesher import Mesh, _mirror_halves, _split_quads, _union_matrix, build_annular_mesh
+from .mesher import (Mesh, _half_folds, _loop_matrix, _split_quads, _union_matrix,
+                     build_annular_mesh)
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    shifted: sp.coo_array               # K + M_∂ on the union stencil, each position once
-    boundary_mass: sp.csr_matrix        # over boundary dofs, in boundary_dofs order
+    shifted: sp.coo_array               # K + M_∂, laid out by mesher._union_matrix
+    boundary_mass: sp.coo_array         # M_bb over boundary_dofs, by mesher._loop_matrix
     boundary_dofs: np.ndarray           # vertex indices, inner loop then outer loop
     mesh: Mesh
 
@@ -119,24 +125,17 @@ def _assemble(mesh, with_boundary):
     return _union_matrix(vertex, radial, around, on_ac, on_bd)
 
 
-def boundary_mass(mesh: Mesh) -> sp.csr_matrix:
+def boundary_mass(mesh: Mesh) -> sp.coo_array:
     """P1 boundary mass over the boundary loops, inner then outer.
 
     Rows and columns are positions in `mesh.boundary_vertices`; each loop
-    edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].
+    edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  COO, each position once,
+    laid out by `mesher._loop_matrix`.
     """
-    rows, cols, vals = [], [], []
-    offset = 0
-    for loop in (mesh.ring[:, 0], mesh.ring[:, -1]):
-        lengths = np.linalg.norm(np.roll(loop, -1, axis=1) - loop, axis=0)
-        i = offset + np.arange(mesh.n_theta)
-        j = offset + np.roll(np.arange(mesh.n_theta), -1)
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        vals += [lengths / 3.0, lengths / 3.0, lengths / 6.0, lengths / 6.0]
-        offset += mesh.n_theta
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(offset, offset)).tocsr()
+    loops = mesh.ring[:, [0, -1]]
+    lengths = np.linalg.norm(np.roll(loops, -1, axis=2) - loops, axis=0)
+    third = lengths / 3.0
+    return _loop_matrix(third + np.roll(third, 1, axis=1), lengths / 6.0)
 
 
 def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
@@ -169,43 +168,32 @@ def _solve_halves(system, count):
     the union of the pencil restricted to even vectors and the pencil
     restricted to odd ones.  With Q the injection of a half into all
     vertices (1 on θ column i and on its mirror −i, negated past θ = π in
-    the odd half, `mesher._mirror_halves`), each half pencil is
-    Qᵀ(K + M_∂)Q against QᵀM_∂Q: the assembled triplets renumbered by one
-    index map and weighted by the product of two signs, duplicates summed
-    by the band packing.  Each half's band is N_r + 2 wide, and a double
-    eigenvalue with an even and an odd eigenvector splits into one simple
-    eigenvalue per half.  The constant is even, so the `count` smallest
-    pairs are among the `count` smallest even ones and the `count − 1`
-    smallest odd ones.  The half vectors are unfolded, u = Q·u_half, and
-    checked against the full pencil.
+    the odd half), each half pencil is Qᵀ(K + M_∂)Q against QᵀM_∂Q.  Where
+    each assembled entry lands in the half's band, and with what sign, is
+    fixed by the resolution (`mesher._half_folds`), so each band is packed
+    by one bincount over the stored entries and handed to `lowest_pairs`,
+    which factors it in place, before the next half is packed.  Each half's
+    band is N_r + 2 wide, and a double eigenvalue with an even and an odd
+    eigenvector splits into one simple eigenvalue per half.  The constant
+    is even, so the `count` smallest pairs are among the `count` smallest
+    even ones and the `count − 1` smallest odd ones.  The half vectors are
+    unfolded, u = Q·u_half, and checked against the full pencil.
     """
     mesh = system.mesh
-    k, mbb, dofs = system.shifted, sp.coo_array(system.boundary_mass), system.boundary_dofs
+    k, mbb = system.shifted, system.boundary_mass
     eigenvalues, vectors = [], []
-    for (label, sign), computed in zip(_mirror_halves(mesh.n_theta, mesh.n_radial),
-                                       (count, count - 1)):
+    for fold, computed in zip(_half_folds(mesh.n_theta, mesh.n_radial), (count, count - 1)):
         if computed == 0:
             continue
-        data, mass = k.data, mbb.data
-        if sign is not None:
-            data = sign.take(k.row) * sign.take(k.col) * data
-            on_loops = sign.take(dofs)
-            mass = on_loops.take(mbb.row) * on_loops.take(mbb.col) * mass
-        n = int(label.max()) + 1
-        shifted = sp.coo_array((data, (label.take(k.row), label.take(k.col))), shape=(n, n))
-        # the half's boundary vertices, and where each boundary position lands among them
-        half_dofs, position = np.unique(label.take(dofs), return_inverse=True)
-        boundary_mass = sp.coo_array((mass, (position.take(mbb.row), position.take(mbb.col))),
-                                     shape=(len(half_dofs),) * 2)
-        lams, half_vectors = lowest_pairs(shifted, boundary_mass, half_dofs, computed, computed)
+        lams, half_vectors = lowest_pairs(fold.stiffness.pack(k.data), fold.mass.pack(mbb.data),
+                                          fold.boundary, computed, computed)
         eigenvalues.append(lams)
-        vectors.append(half_vectors[label] if sign is None
-                       else sign[:, None] * half_vectors[label])
+        vectors.append(fold.sign[:, None] * half_vectors[fold.label])
     eigenvalues, vectors = np.concatenate(eigenvalues), np.hstack(vectors)
     lowest = np.argsort(eigenvalues, kind="stable")[:count]
     eigenvalues, vectors = eigenvalues[lowest], vectors[:, lowest]
-    check_residual(k, system.boundary_mass, dofs, eigenvalues, vectors)
-    return eigenvalues, vectors[dofs]
+    check_residual(k, mbb, system.boundary_dofs, eigenvalues, vectors)
+    return eigenvalues, vectors[system.boundary_dofs]
 
 
 def solve_domain(domain: AnnularDomain, n_theta: int, n_radial: int,

@@ -8,41 +8,49 @@ M_∂ = E·M_bb·Eᵀ, with E the injection of the n_b boundary vertices into al
 n, so the pencil reduces to the boundary problem S·w = λ·M_bb·w, with S the
 discrete Dirichlet-to-Neumann matrix and w the trace Eᵀu.  S is never
 formed: G = Eᵀ·(K + M_∂)⁻¹·E = (S + M_bb)⁻¹ is its shifted inverse at
-σ = −1.  ARPACK's Lanczos iteration runs in shift-invert mode on G·M_bb,
-whose largest eigenvalues 1/(1 + λ) belong to the smallest λ, on vectors of
-length n_b; each application of G is one solve with a single Cholesky
-factor of K + M_∂, right-hand side scattered onto the boundary.  No dense
-operator is formed.
-K + M_∂ is factored in the order it is given, as a band matrix: its COO
-triplets on and below the diagonal are summed into the lower band, of the
-half-bandwidth they span, LAPACK's band Cholesky (dpbtrf) factors it in
-place, and dpbtrs applies the factor.  The annular meshes
-number their vertices so that the band is 2N_r + 3 wide (`mesher`), and
-the mirror halves `fem` folds from them N_r + 2; this module makes no
-ordering choice itself.
-One more block solve lifts the converged traces w to full vertex vectors
-u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w, on which every pair is checked against
-RESIDUAL_BOUND: K·u − λ·M_∂·u, computed as (K + M_∂)·u − (1 + λ)·M_∂·u,
-equals (1 + λ)·E·M_bb·(w − Eᵀu), the boundary eigen-residual.
+σ = −1, and with M_bb = L·Lᵀ the pencil becomes the standard symmetric
+problem C·y = μ·y, C = Lᵀ·G·L, y = Lᵀ·w, μ = 1/(1 + λ), whose largest μ
+belong to the smallest λ.  ARPACK's Lanczos iteration runs on C in its
+standard mode, on vectors of length n_b: each step is one product with L,
+one solve with the Cholesky factor of K + M_∂, right-hand side scattered
+onto the boundary, and one product with Lᵀ, with no M_bb product and one
+call back into Python.  No dense operator is formed.
+Both matrices are factored as band matrices by LAPACK's band Cholesky
+(dpbtrf), in place: K + M_∂ in the vertex order it is given, M_bb with its
+boundary vertices in ascending vertex order, in which the meshes' own
+numbering puts the two ends of every loop edge at most two boundary
+positions apart on a mirror half and four in one block.  dpbtrs applies
+the factor of K + M_∂ and BLAS's dtbmv the band L.  The annular meshes
+number their vertices so that the band of K + M_∂ is 2N_r + 3 wide
+(`mesher`), and the mirror halves `fem` folds from them N_r + 2; this
+module makes no ordering choice itself.
+One more block solve lifts the converged traces to full vertex vectors
+u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w, with M_bb·w = L·y, on which every pair is
+checked against RESIDUAL_BOUND: K·u − λ·M_∂·u, computed as
+(K + M_∂)·u − (1 + λ)·M_∂·u, equals (1 + λ)·E·M_bb·(w − Eᵀu), the boundary
+eigen-residual.
 
-`steklov_eigs` solves a pencil in one block.  Its two steps are public
-for `fem`, which solves a mirror-symmetric mesh as an even and an odd half
-pencil: `lowest_pairs`, the lifted and normalized Lanczos pairs of one
-pencil, and `check_residual`, which checks their union against the full
-pencil.
+`steklov_eigs` solves a pencil in one block, packing both bands from
+triplets in any order.  Its two steps are public for `fem`, which solves a
+mirror-symmetric mesh as an even and an odd half pencil whose bands it
+packs itself: `lowest_pairs`, the lifted and normalized Lanczos pairs of
+one pencil, and `check_residual`, which checks their union against the
+full pencil.
 
-ARPACK stops when the M_bb-norm of a Ritz residual of G·M_bb is below
-LANCZOS_TOL times its Ritz value 1/(1 + λ).  The check measures Euclidean
-norms instead, which can be larger by up to the square root of the condition
-number of M_bb: 3/ε for a hole of radius ε with as many vertices as the
-outer circle, about 6 at ε = 0.08.  LANCZOS_TOL sits 100× below
-RESIDUAL_BOUND to cover that factor with room to spare.
+ARPACK stops when the Euclidean norm of a Ritz residual of C is below
+LANCZOS_TOL times its Ritz value μ.  On y = Lᵀ·w that norm is the M_bb-norm
+of the residual of G·M_bb on w, since |Lᵀ·x|² = xᵀ·M_bb·x.  The check
+measures Euclidean norms instead, which can be larger by up to the square
+root of the condition number of M_bb: 3/ε for a hole of radius ε with as
+many vertices as the outer circle, about 6 at ε = 0.08.  LANCZOS_TOL sits
+100× below RESIDUAL_BOUND to cover that factor with room to spare.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -56,43 +64,51 @@ class EigensolveError(ValueError):
     """The Steklov pencil could not be solved to the residual bound."""
 
 
-def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.spmatrix,
+def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.sparray | sp.spmatrix,
                  boundary_dofs, count: int):
     """`count` smallest eigenpairs of K·u = λ·M_∂·u, given K + M_∂.
 
     shifted is K + M_∂ over all vertices, in any sparse format, duplicate
     entries summed; boundary_mass is M_bb, indexed by position in
-    boundary_dofs.  K + M_∂ is factored in its own vertex numbering; any
-    numbering gives the same pairs up to round-off, only the band width,
-    and with it memory and speed, depend on it.  Returns the ascending
-    eigenvalues and the boundary traces as columns, in boundary_dofs order
-    and normalized to vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most
-    n_b − 1, ARPACK's limit on the boundary pencil), so both copies of a
-    double eigenvalue at the end of the requested range come back: Lanczos
-    finds the second copy only through round-off and locking, and asked for
-    exactly `count` pairs it can return the next eigenvalue in its place.
+    boundary_dofs.  K + M_∂ is factored in its own vertex numbering, and
+    M_bb in the ascending order of boundary_dofs; any numbering gives the
+    same pairs up to round-off, only the band widths, and with them memory
+    and speed, depend on it.  Returns the ascending eigenvalues and the
+    boundary traces as columns, in boundary_dofs order and normalized to
+    vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most n_b − 1, ARPACK's
+    limit on the boundary pencil), so both copies of a double eigenvalue at
+    the end of the requested range come back: Lanczos finds the second copy
+    only through round-off and locking, and asked for exactly `count` pairs
+    it can return the next eigenvalue in its place.
     """
     boundary_dofs = np.asarray(boundary_dofs)
     shifted = sp.coo_array(shifted)
     nb = len(boundary_dofs)
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
-    eigenvalues, vectors = lowest_pairs(shifted, boundary_mass, boundary_dofs,
+    order = np.argsort(boundary_dofs)
+    rank = np.argsort(order)  # of each boundary position in ascending vertex order
+    mbb = sp.coo_array(boundary_mass)
+    mass_band = _pack_band(sp.coo_array((mbb.data, (rank[mbb.row], rank[mbb.col])),
+                                        shape=mbb.shape))
+    eigenvalues, vectors = lowest_pairs(_pack_band(shifted), mass_band, boundary_dofs[order],
                                         min(count + 1, nb - 1), count)
     check_residual(shifted, boundary_mass, boundary_dofs, eigenvalues, vectors)
     return eigenvalues, vectors[boundary_dofs]
 
 
-def lowest_pairs(shifted, boundary_mass, boundary_dofs, computed: int, count: int):
+def lowest_pairs(band, mass_band, boundary_dofs, computed: int, count: int):
     """The `count` smallest of the `computed` smallest eigenpairs that the
     Lanczos iteration returns, unchecked: ascending eigenvalues and full
     vertex vectors u as columns, normalized to uᵀ·M_∂·u = 1.
 
-    shifted is K + M_∂ as a COO matrix; 1 ≤ count ≤ computed < n_b.
+    band is the lower band of K + M_∂ and mass_band that of M_bb, its rows
+    and columns in boundary_dofs order, each as `_pack_band` packs it;
+    both are factored in place.  1 ≤ count ≤ computed < n_b.
     """
-    n, nb = shifted.shape[0], len(boundary_dofs)
-    mbb = sp.csc_matrix(boundary_mass)
-    factor = _band_cholesky(shifted)
+    factor = _band_cholesky(band, "K + M_∂")
+    mass_factor = _band_cholesky(mass_band, "M_bb")  # M_bb = L·Lᵀ
+    n, nb, kd = factor.shape[1], len(boundary_dofs), mass_factor.shape[0] - 1
 
     def lift(traces):
         """(K + M_∂)⁻¹·E·traces: one band solve, every column at once."""
@@ -101,23 +117,28 @@ def lowest_pairs(shifted, boundary_mass, boundary_dofs, computed: int, count: in
         rhs[boundary_dofs] = traces
         return dpbtrs(factor, rhs, lower=1, overwrite_b=1)[0]
 
-    g = LinearOperator((nb, nb), matvec=lambda w: lift(w)[boundary_dofs], dtype=float)
+    def times_factor(x, trans=0):
+        """L·x, or Lᵀ·x if trans, for a vector x."""
+        return dtbmv(kd, mass_factor, x, lower=1, trans=trans)
+
+    # C = Lᵀ·G·L, whose largest eigenvalues μ = 1/(1 + λ), with eigenvectors
+    # y = Lᵀ·w, belong to the smallest λ
+    c = LinearOperator((nb, nb), dtype=float,
+                       matvec=lambda y: times_factor(lift(times_factor(y))[boundary_dofs], 1))
     v0 = np.random.default_rng(0).standard_normal(nb)  # fixed, so runs repeat exactly
     try:
-        # the λ nearest σ = −1, i.e. the smallest.  Shift-invert mode never
-        # applies A, so g stands in for its shape; S enters only through
-        # OPinv = G = (S + M_bb)⁻¹
-        eigenvalues, traces = eigsh(g, computed, M=mbb, sigma=-1.0, OPinv=g,
-                                    v0=v0, tol=LANCZOS_TOL)
+        mu, traces = eigsh(c, computed, which="LA", v0=v0, tol=LANCZOS_TOL)
     except ArpackError as exc:
         raise EigensolveError(f"Lanczos iteration failed: {exc}") from exc
 
+    eigenvalues = 1.0 / mu - 1.0
     lowest = np.argsort(eigenvalues)[:count]
     # full vertex vectors u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w up to the
-    # normalization below, whose residual is the boundary eigen-residual of w
-    vectors = lift(mbb @ traces[:, lowest])
-    on_boundary = vectors[boundary_dofs]
-    scale = np.sqrt(np.einsum("ij,ij->j", on_boundary, mbb @ on_boundary))
+    # normalization below, whose residual is the boundary eigen-residual of
+    # w; M_bb·w = L·y
+    vectors = lift(np.column_stack([times_factor(y) for y in traces[:, lowest].T]))
+    # uᵀ·M_∂·u = |Lᵀ·Eᵀu|²
+    scale = [np.linalg.norm(times_factor(u, 1)) for u in vectors[boundary_dofs].T]
     return eigenvalues[lowest], vectors / scale
 
 
@@ -135,17 +156,13 @@ def check_residual(shifted, boundary_mass, boundary_dofs, eigenvalues, vectors):
         raise EigensolveError(f"eigenpair residual {worst:.3g} exceeds {RESIDUAL_BOUND:g}")
 
 
-def _band_cholesky(a):
-    """Lower Cholesky factor of the SPD COO matrix a in LAPACK band storage,
-    (kd+1, n): entry (i − j, j) holds L[i, j], kd the largest i − j of a
-    stored entry.
+def _pack_band(a):
+    """The lower band of the symmetric COO matrix a, C-ordered as (n, kd+1),
+    kd the largest i − j of a stored entry: row j holds a[j, j],
+    a[j+1, j], …, a[j+kd, j].
 
-    The band is packed C-ordered as (n, kd+1) by one bincount over the
-    entries on and below the diagonal, which sums duplicates, and factored
-    through its transpose, which is Fortran-ordered, so dpbtrf overwrites it
-    in place and dpbtrs reads it without a copy.  Raises EigensolveError
-    unless a is positive definite and finite: dpbtrf reports a nonpositive
-    pivot, and a NaN reaches the diagonal of the factor.
+    One bincount over the entries on and below the diagonal packs it and
+    sums duplicates.
     """
     n = a.shape[0]
     lower = a.row >= a.col
@@ -153,10 +170,23 @@ def _band_cholesky(a):
     kd = int(np.max(rows - cols, initial=0))
     # entry (i, j) lands in row j, column i − j of the band, flat j·kd + i;
     # in intp, as n·(kd+1) can pass the int32 range
-    band = np.bincount(cols.astype(np.intp) * kd + rows, weights=a.data[lower],
+    return np.bincount(cols.astype(np.intp) * kd + rows, weights=a.data[lower],
                        minlength=n * (kd + 1)).reshape(n, kd + 1)
+
+
+def _band_cholesky(band, name):
+    """Lower Cholesky factor, in LAPACK band storage (kd+1, n), of the SPD
+    matrix `name` whose C-ordered (n, kd+1) band `_pack_band` packed:
+    entry (i − j, j) holds L[i, j].
+
+    The band is factored through its transpose, which is Fortran-ordered,
+    so dpbtrf overwrites it in place and dpbtrs and dtbmv read it without a
+    copy.  Raises EigensolveError unless the matrix is positive definite
+    and finite: dpbtrf reports a nonpositive pivot, and a NaN reaches the
+    diagonal of the factor.
+    """
     factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(factor[0])):
         raise EigensolveError(f"band Cholesky factorization failed (LAPACK info {info}): "
-                              "K + M_∂ is not positive definite and finite")
+                              f"{name} is not positive definite and finite")
     return factor

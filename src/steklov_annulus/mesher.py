@@ -28,12 +28,16 @@ quad does not take holds an explicit zero, inside the band.
 
 The mirror θ ↦ −θ maps the θ grid onto itself for any N_θ.
 `Mesh.mirrored` tells whether the ring array is symmetric under it, and
-`_mirror_halves` numbers its even and its odd half unfolded θ-major, with
-half-bandwidth N_r + 2, for `fem` to fold K + M_∂ onto.
+`_half_folds` numbers its even and its odd half unfolded θ-major, with
+half-bandwidth N_r + 2, and works out once per resolution where each entry
+`_union_matrix` and `_loop_matrix` lay out lands in each half's band of
+K + M_∂ and of M_bb, and with what sign, for `fem` to pack them with one
+bincount each.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,25 +176,92 @@ def _numbering(n_theta, n_radial):
     return (n_radial + 1) * slot + np.arange(n_radial + 1, dtype=np.int32)[:, None]
 
 
-def _mirror_halves(n_theta, n_radial):
-    """The even and the odd half of the mirror θ ↦ −θ, each as the half
-    number (int32) and the sign of every vertex, indexed by mesh number;
-    the even half's signs are all +1 and given as None.
+@dataclass(frozen=True)
+class _BandFold:
+    """Where each stored entry of a symmetric matrix lands in the lower band
+    of its fold QᵀAQ onto a mirror half, and with what weight.
+
+    The entries are the diagonal and each off-diagonal pair once, in the
+    layout `_union_matrix` or `_loop_matrix` stores them first; slot is
+    the flat position, j·kd + i, of the folded entry (i, j), i ≥ j, in a
+    C-ordered (n, kd+1) band, which is what `linalg._pack_band` makes of
+    the folded triplets.  weight is the product of the two ends' signs,
+    doubled where both ends of a pair fold onto one half vertex, whose
+    diagonal then receives the pair's entry and its transpose.
+    """
+
+    slot: np.ndarray    # int32 where it fits
+    weight: np.ndarray  # int8: 0, ±1 or ±2
+    shape: tuple        # (n, kd+1)
+
+    @classmethod
+    def of(cls, label, sign, p, q):
+        """The fold of the entries joining p and q, vertex v going to half
+        number label[v] with sign[v]."""
+        lp, lq = label[p], label[q]
+        lo, hi = np.minimum(lp, lq), np.maximum(lp, lq)
+        n, kd = int(label.max()) + 1, int(np.max(hi - lo))
+        weight = np.where((lp == lq) & (p != q), 2, 1) * sign[p] * sign[q]
+        # kept as int32, which halves the cached map, unless n·(kd+1) passes its range
+        index = np.int32 if n * (kd + 1) <= np.iinfo(np.int32).max else np.intp
+        fold = cls(slot=(lo.astype(np.intp) * kd + hi).astype(index),
+                   weight=weight.astype(np.int8), shape=(n, kd + 1))
+        fold.slot.setflags(write=False)
+        fold.weight.setflags(write=False)
+        return fold
+
+    def pack(self, data):
+        """The folded lower band, given the data of a matrix in the layout
+        the fold was made for; the entries past the first of each pair,
+        which `_union_matrix` and `_loop_matrix` store last, are not read."""
+        n, width = self.shape
+        return np.bincount(self.slot, weights=self.weight * data[:self.slot.size],
+                           minlength=n * width).reshape(n, width)
+
+
+@dataclass(frozen=True)
+class _HalfFold:
+    """One half of the mirror θ ↦ −θ at one resolution (`_half_folds`).
+
+    label (V,) int32 and sign (V,) float give, for every mesh number, the
+    half vertex it folds onto and its sign there, so that Q·u_half is
+    sign·u_half[label].  boundary lists the half numbers of the half's
+    boundary vertices, ascending, the order in which its folded M_bb is a
+    band (kd = 2).  stiffness folds K + M_∂ from its union-stencil triplets
+    into the half's band, mass folds M_bb from its loop triplets into the
+    band over boundary.
+    """
+
+    label: np.ndarray
+    sign: np.ndarray
+    boundary: np.ndarray
+    stiffness: _BandFold
+    mass: _BandFold
+
+
+@functools.lru_cache(maxsize=4)
+def _half_folds(n_theta, n_radial):
+    """The even and the odd half of the mirror θ ↦ −θ at this resolution,
+    as `_HalfFold`s, built once per resolution and read-only; the last four
+    resolutions stay cached, enough for a refinement ladder.
 
     θ column i folds onto half column h = min(i, N_θ − i), and a half
     numbers its columns unfolded θ-major, vertex (j, h) at
     (h − h₀)·(N_r+1) + j, so that every stencil edge spans at most N_r + 2
-    numbers.  The even half keeps h = 0 … ⌊N_θ/2⌋.  The odd half keeps
-    h = 1 … ⌈N_θ/2⌉ − 1 with sign −1 past θ = π; an odd vector vanishes on
-    the cut columns, θ = 0 and, for even N_θ, θ = π, which get the sign 0
-    and the number of the kept column beside them, so that what they touch
-    folds to zero inside the half's band.
+    numbers.  The even half keeps h = 0 … ⌊N_θ/2⌋ with sign +1.  The odd
+    half keeps h = 1 … ⌈N_θ/2⌉ − 1 with sign −1 past θ = π; an odd vector
+    vanishes on the cut columns, θ = 0 and, for even N_θ, θ = π, which get
+    the sign 0 and the number of the kept column beside them, so that what
+    they touch folds to zero inside the half's band.  For odd N_θ the ring
+    edges across θ = π join the two columns that fold onto h = ⌊N_θ/2⌋
+    and fold onto its diagonal, with weight 2.
     """
     layers = n_radial + 1
+    number, p, q = _stencil(n_theta, n_radial)
     # the θ column in each slot of the folded numbering: mesh number
     # slot·(N_r+1) + j is vertex (j, column[slot])
     column = np.empty(n_theta, dtype=np.int32)
-    column[_numbering(n_theta, n_radial)[0] // layers] = np.arange(n_theta)
+    column[number[0] // layers] = np.arange(n_theta)
     h = np.minimum(column, n_theta - column)
     ring = np.arange(layers, dtype=np.int32)
 
@@ -199,8 +270,23 @@ def _mirror_halves(n_theta, n_radial):
 
     odd_sign = np.where((column == 0) | (2 * column == n_theta), 0.0,
                         np.where(2 * column > n_theta, -1.0, 1.0))
-    return [(by_number(h), None),
-            (by_number(np.clip(h, 1, (n_theta - 1) // 2) - 1), np.repeat(odd_sign, layers))]
+    ends = (np.concatenate([number, *p], axis=None), np.concatenate([number, *q], axis=None))
+    loops = number[[0, -1]].ravel()  # the boundary vertices, inner loop then outer loop
+    position, nxt = _loop_stencil(n_theta)
+    loop_ends = (np.concatenate([position, position], axis=None),
+                 np.concatenate([position, nxt], axis=None))
+    folds = []
+    for label, sign in ((by_number(h), np.ones(number.size)),
+                        (by_number(np.clip(h, 1, (n_theta - 1) // 2) - 1),
+                         np.repeat(odd_sign, layers))):
+        # the half's boundary vertices, and where each boundary position lands among them
+        boundary, on_boundary = np.unique(label[loops], return_inverse=True)
+        for array in (label, sign, boundary):
+            array.setflags(write=False)
+        folds.append(_HalfFold(label=label, sign=sign, boundary=boundary,
+                               stiffness=_BandFold.of(label, sign, *ends),
+                               mass=_BandFold.of(on_boundary, sign[loops], *loop_ends)))
+    return tuple(folds)
 
 
 def _split_quads(ring):
@@ -237,6 +323,14 @@ def _corners(n_theta, n_radial):
     return vertex, nxt, vertex[:-1], vertex[1:], nxt[1:], nxt[:-1]
 
 
+def _stencil(n_theta, n_radial):
+    """The union stencil in the order `_union_matrix` lays it out: the mesh
+    number of every vertex (N_r+1, N_θ), then the ends p and q of its
+    radial, ring, ac and bd edges, as tuples of their ring-space arrays."""
+    number, nxt, a, b, c, d = _corners(n_theta, n_radial)
+    return number, (a, number, a, b), (b, nxt, c, d)
+
+
 def _union_matrix(vertex, radial, around, on_ac, on_bd):
     """The mesh-numbered symmetric COO matrix on the union stencil with the
     given ring-space entries, each edge's in both of its places, int32
@@ -245,13 +339,34 @@ def _union_matrix(vertex, radial, around, on_ac, on_bd):
     vertex (N_r+1, N_θ) is the diagonal; radial (N_r, N_θ) couples (j, i)
     and (j+1, i), around (N_r+1, N_θ) couples (j, i) and (j, i+1), and
     on_ac and on_bd (N_r, N_θ) are the quad diagonals (j, i)–(j+1, i+1) and
-    (j+1, i)–(j, i+1).
+    (j+1, i)–(j, i+1).  The diagonal comes first, then every edge (p, q) in
+    `_stencil` order, then every (q, p): `_half_folds` reads the first
+    V + E entries.
     """
     n_radial, n_theta = radial.shape
-    number, nxt, a, b, c, d = _corners(n_theta, n_radial)
-    # the radial, ring, ac and bd edges join p to q and hold off
-    p, q, off = (a, number, a, b), (b, nxt, c, d), (radial, around, on_ac, on_bd)
+    number, p, q = _stencil(n_theta, n_radial)
+    off = (radial, around, on_ac, on_bd)
     return sp.coo_array((np.concatenate([vertex, *off, *off], axis=None),
                          (np.concatenate([number, *p, *q], axis=None),
                           np.concatenate([number, *q, *p], axis=None))),
                         shape=(number.size, number.size))
+
+
+def _loop_stencil(n_theta):
+    """Every boundary position (2, N_θ), inner loop then outer loop, and the
+    position after it on its loop."""
+    position = np.arange(2 * n_theta).reshape(2, n_theta)
+    return position, np.roll(position, -1, axis=1)
+
+
+def _loop_matrix(diagonal, edge):
+    """The symmetric COO matrix over the boundary positions, inner loop
+    (0 … N_θ−1) then outer loop, with diagonal (2, N_θ) and edge (2, N_θ)
+    coupling θ column i of a loop to column i+1; laid out like
+    `_union_matrix`, the diagonal, every (i, i+1), then every (i+1, i)."""
+    n_theta = diagonal.shape[1]
+    position, nxt = _loop_stencil(n_theta)
+    return sp.coo_array((np.concatenate([diagonal, edge, edge], axis=None),
+                         (np.concatenate([position, position, nxt], axis=None),
+                          np.concatenate([position, nxt, position], axis=None))),
+                        shape=(2 * n_theta, 2 * n_theta))

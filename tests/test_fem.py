@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from steklov_annulus import analytic, fem, linalg
+from steklov_annulus import analytic, fem, linalg, mesher
 from steklov_annulus.experiments import EPS0, TRANSLATION_TABLES
 from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, Circle,
@@ -286,7 +287,81 @@ def mirror_positions(n_theta):
     return np.concatenate([mirror, n_theta + mirror])
 
 
+def reference_halves(n_theta, n_radial):
+    """Half number and sign of every mesh vertex, even half then odd half,
+    from their definition in ring space: θ column i goes to half column
+    min(i, N_θ − i), numbered from h₀ = 0 (even) or 1 (odd), (h − h₀)·(N_r+1)
+    + j; the odd half negates past θ = π and gives the cut columns θ = 0
+    and π the sign 0 and the number of the column beside them."""
+    i = np.arange(n_theta)
+    h = np.minimum(i, n_theta - i)
+    cut = (i == 0) | (2 * i == n_theta)
+    number = mesher._numbering(n_theta, n_radial)
+    ring = np.arange(n_radial + 1)[:, None]
+    halves = []
+    for column, sign in ((h, np.ones(n_theta)),
+                         (np.clip(h, 1, (n_theta - 1) // 2) - 1,
+                          np.where(cut, 0.0, np.where(2 * i > n_theta, -1.0, 1.0)))):
+        label, signs = np.empty(number.size, dtype=int), np.empty(number.size)
+        label[number] = column * (n_radial + 1) + ring
+        signs[number] = np.broadcast_to(sign, number.shape)
+        halves.append((label, signs))
+    return halves
+
+
+def generic_fold(matrix, label, sign, n):
+    """The lower band of QᵀAQ: the triplets of A renumbered by label,
+    weighted by the signs of both ends and packed as `steklov_eigs` packs
+    any matrix."""
+    a = sp.coo_array(matrix)
+    return linalg._pack_band(sp.coo_array((sign[a.row] * sign[a.col] * a.data,
+                                           (label[a.row], label[a.col])), shape=(n, n)))
+
+
 class TestMirrorHalves:
+    @pytest.mark.parametrize("n_theta, n_radial", [(64, 8), (256, 24), (512, 48),
+                                                   (65, 6), (63, 5), (33, 4)])
+    def test_fold_map_matches_generic_fold(self, n_theta, n_radial):
+        """Each half's K + M_∂ and M_bb bands, packed from the resolution's
+        fold map, equal the generic packing of Qᵀ(K + M_∂)Q and of QᵀM_∂Q on
+        the half's boundary, cut columns included: bit for bit for even
+        N_θ, where each band entry sums at most two terms, and to 2 ulps of
+        the largest entry for odd N_θ, where the ring edges across θ = π
+        fold onto the diagonal with weight 2 and are summed in another
+        order.  The map is read-only and built once per resolution."""
+        domain, grading = ORACLE_DOMAINS["cosine k=5"]
+        mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
+        assert mesh.mirrored
+        system = assemble(mesh)
+        folds = mesher._half_folds(n_theta, n_radial)
+        for fold, (label, sign) in zip(folds, reference_halves(n_theta, n_radial)):
+            np.testing.assert_array_equal(fold.label, label)
+            np.testing.assert_array_equal(fold.sign, sign)
+            half_dofs, position = np.unique(label[system.boundary_dofs], return_inverse=True)
+            np.testing.assert_array_equal(fold.boundary, half_dofs)
+            pairs = [(fold.stiffness.pack(system.shifted.data),
+                      generic_fold(system.shifted, label, sign, label.max() + 1)),
+                     (fold.mass.pack(system.boundary_mass.data),
+                      generic_fold(system.boundary_mass, position,
+                                   sign[system.boundary_dofs], len(half_dofs)))]
+            for band, reference in pairs:
+                assert band.shape == reference.shape
+                if n_theta % 2 == 0:
+                    np.testing.assert_array_equal(band, reference)
+                else:
+                    np.testing.assert_allclose(band, reference, rtol=0.0,
+                                               atol=2 * np.spacing(np.abs(reference).max()))
+            assert fold.stiffness.shape == (label.max() + 1, n_radial + 3)
+            assert fold.mass.shape == (len(half_dofs), 3)
+            assert np.any(np.abs(fold.stiffness.weight) == 2) == (n_theta % 2 == 1)
+            for array in (fold.label, fold.sign, fold.boundary, fold.stiffness.slot,
+                          fold.stiffness.weight, fold.mass.slot, fold.mass.weight):
+                assert not array.flags.writeable
+        misses = mesher._half_folds.cache_info().misses
+        solve_spectrum(system, 3)
+        assert mesher._half_folds(n_theta, n_radial) is folds
+        assert mesher._half_folds.cache_info().misses == misses
+
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["concentric", "x-axis", "cosine", "graded"]),
            n_theta=st.integers(16, 64), n_radial=st.integers(2, 8),
@@ -322,7 +397,9 @@ class TestMirrorHalves:
 
     def test_two_half_width_factors(self, monkeypatch):
         """A concentric 256×24 solve factors exactly two half pencils, each
-        a band of half-width N_r + 2 (27 rows), and no full-width band."""
+        a band of half-width N_r + 2 (27 rows), and no full-width band; the
+        only other bands are the two halves' boundary masses, of
+        half-width 2 (3 rows) over their 2·127 and 2·129 boundary vertices."""
         real_dpbtrf = linalg.dpbtrf
         shapes = []
 
@@ -332,7 +409,8 @@ class TestMirrorHalves:
 
         monkeypatch.setattr(linalg, "dpbtrf", recorded_dpbtrf)
         solve_domain(concentric(0.3), 256, 24, count=3)
-        assert sorted(shapes) == [(24 + 3, 127 * 25), (24 + 3, 129 * 25)]
+        assert sorted(shapes) == [(3, 127 * 2), (3, 129 * 2),
+                                  (24 + 3, 127 * 25), (24 + 3, 129 * 25)]
 
     def test_concentric_traces_have_parity(self):
         """Every concentric trace is exactly even or exactly odd under

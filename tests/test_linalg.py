@@ -316,10 +316,10 @@ class TestEliminationOrder:
         assert own <= 1.5 * fill(ring, "MMD_AT_PLUS_A")
 
     def test_no_factor_outlives_the_solve(self, monkeypatch):
-        """Reference counting alone frees the band array, which holds the
-        Cholesky factor, when steklov_eigs returns: with the cyclic
-        collector off, a reference cycle through the factor would keep it
-        alive."""
+        """Reference counting alone frees the band arrays, which hold the
+        Cholesky factors of K + M_∂ and of M_bb, when the solve returns:
+        with the cyclic collector off, a reference cycle through a factor
+        would keep it alive."""
         real_dpbtrf = linalg.dpbtrf
         bands = []
 
@@ -331,7 +331,7 @@ class TestEliminationOrder:
         gc.disable()
         try:
             solve_domain(annulus(0.3, center=(0.25, 0.1)), 64, 8, count=3)
-            assert len(bands) == 1
+            assert len(bands) == 2
             assert all(ref() is None for ref in bands)
         finally:
             gc.enable()
@@ -364,6 +364,23 @@ class TestEliminationOrder:
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * band_bytes
+
+    def test_half_route_memory(self):
+        """The tracemalloc peak of a warm concentric 256×24 solve_domain,
+        which solves the mesh as its two mirror halves, stays below the
+        bytes of one full-width band (about 0.92×): each half's band is
+        packed straight from the assembled entries by the resolution's
+        fold map, built by the first solve, and freed before the next half
+        is packed."""
+        band_bytes = 256 * 25 * (2 * 24 + 3 + 1) * 8
+        solve_domain(annulus(0.3), 256, 24, count=3)
+        tracemalloc.start()
+        try:
+            solve_domain(annulus(0.3), 256, 24, count=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < band_bytes
 
 
 class TestSolverFailure:
