@@ -27,14 +27,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import AnnularDomain
 from .linalg import check_residual, lowest_pairs, steklov_eigs
 from .mesher import (Mesh, _half_folds, _loop_matrix, _split_quads, _union_matrix,
                      build_annular_mesh)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)

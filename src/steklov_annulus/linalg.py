@@ -44,15 +44,20 @@ measures Euclidean norms instead, which can be larger by up to the square
 root of the condition number of M_bb: 3/ε for a hole of radius ε with as
 many vertices as the outer circle, about 6 at ε = 0.08.  LANCZOS_TOL sits
 100× below RESIDUAL_BOUND to cover that factor with room to spare.
+
+Each function imports the SciPy routines it calls in its own body, so that
+importing the package for its closed forms alone loads no SciPy
+subpackage; the first solve pays that import once.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import dtbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # largest accepted ‖K·v − λ·M_∂·v‖ / ((1 + λ)·‖M_∂·v‖) of a returned pair
 RESIDUAL_BOUND = 1e-8
@@ -81,6 +86,8 @@ def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.sparray | 
     only through round-off and locking, and asked for exactly `count` pairs
     it can return the next eigenvalue in its place.
     """
+    import scipy.sparse as sp
+
     boundary_dofs = np.asarray(boundary_dofs)
     shifted = sp.coo_array(shifted)
     nb = len(boundary_dofs)
@@ -106,6 +113,10 @@ def lowest_pairs(band, mass_band, boundary_dofs, computed: int, count: int):
     and columns in boundary_dofs order, each as `_pack_band` packs it;
     both are factored in place.  1 ≤ count ≤ computed < n_b.
     """
+    from scipy.linalg.blas import dtbmv
+    from scipy.linalg.lapack import dpbtrs
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     factor = _band_cholesky(band, "K + M_∂")
     mass_factor = _band_cholesky(mass_band, "M_bb")  # M_bb = L·Lᵀ
     n, nb, kd = factor.shape[1], len(boundary_dofs), mass_factor.shape[0] - 1
@@ -185,6 +196,8 @@ def _band_cholesky(band, name):
     and finite: dpbtrf reports a nonpositive pivot, and a NaN reaches the
     diagonal of the factor.
     """
+    from scipy.linalg.lapack import dpbtrf
+
     factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(factor[0])):
         raise EigensolveError(f"band Cholesky factorization failed (LAPACK info {info}): "

@@ -41,7 +41,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import TWO_PI, AnnularDomain
 
@@ -343,6 +342,8 @@ def _union_matrix(vertex, radial, around, on_ac, on_bd):
     `_stencil` order, then every (q, p): `_half_folds` reads the first
     V + E entries.
     """
+    import scipy.sparse as sp
+
     n_radial, n_theta = radial.shape
     number, p, q = _stencil(n_theta, n_radial)
     off = (radial, around, on_ac, on_bd)
@@ -364,6 +365,8 @@ def _loop_matrix(diagonal, edge):
     (0 … N_θ−1) then outer loop, with diagonal (2, N_θ) and edge (2, N_θ)
     coupling θ column i of a loop to column i+1; laid out like
     `_union_matrix`, the diagonal, every (i, i+1), then every (i+1, i)."""
+    import scipy.sparse as sp
+
     n_theta = diagonal.shape[1]
     position, nxt = _loop_stencil(n_theta)
     return sp.coo_array((np.concatenate([diagonal, edge, edge], axis=None),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -400,14 +401,14 @@ class TestMirrorHalves:
         a band of half-width N_r + 2 (27 rows), and no full-width band; the
         only other bands are the two halves' boundary masses, of
         half-width 2 (3 rows) over their 2·127 and 2·129 boundary vertices."""
-        real_dpbtrf = linalg.dpbtrf
+        real_dpbtrf = scipy.linalg.lapack.dpbtrf
         shapes = []
 
         def recorded_dpbtrf(ab, *args, **kwargs):
             shapes.append(ab.shape)
             return real_dpbtrf(ab, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "dpbtrf", recorded_dpbtrf)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", recorded_dpbtrf)
         solve_domain(concentric(0.3), 256, 24, count=3)
         assert sorted(shapes) == [(3, 127 * 2), (3, 129 * 2),
                                   (24 + 3, 127 * 25), (24 + 3, 129 * 25)]

@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from steklov_annulus import analytic, linalg, mesher
+from steklov_annulus import analytic, mesher
 from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
 from steklov_annulus.linalg import EigensolveError, steklov_eigs
@@ -153,14 +154,14 @@ class TestSmallestEigenpairs:
         full K + M_∂, whose double λ₁ slows convergence, took 36, and the
         iteration over all vertices at eigsh's default tolerance 64."""
         n = len(build_annular_mesh(annulus(0.3), 256, 24).vertices)
-        real_dpbtrs = linalg.dpbtrs
+        real_dpbtrs = scipy.linalg.lapack.dpbtrs
         solves = []
 
         def counted_dpbtrs(factor, rhs, *args, **kwargs):
             solves.append(factor.shape[1])
             return real_dpbtrs(factor, rhs, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "dpbtrs", counted_dpbtrs)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", counted_dpbtrs)
         solve_domain(annulus(0.3), 256, 24, count=3)
         sizes, counts = np.unique(solves, return_counts=True)
         assert len(sizes) == 2 and sizes.sum() == n  # θ = 0 and π are even only
@@ -320,14 +321,14 @@ class TestEliminationOrder:
         Cholesky factors of K + M_∂ and of M_bb, when the solve returns:
         with the cyclic collector off, a reference cycle through a factor
         would keep it alive."""
-        real_dpbtrf = linalg.dpbtrf
+        real_dpbtrf = scipy.linalg.lapack.dpbtrf
         bands = []
 
         def tracked_dpbtrf(ab, *args, **kwargs):
             bands.append(weakref.ref(ab.base))  # ab is the transpose of the band array
             return real_dpbtrf(ab, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "dpbtrf", tracked_dpbtrf)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", tracked_dpbtrf)
         gc.disable()
         try:
             solve_domain(annulus(0.3, center=(0.25, 0.1)), 64, 8, count=3)
@@ -410,17 +411,17 @@ class TestSolverFailure:
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         with pytest.raises(EigensolveError):
             eigs(eccentric, 3)
 
     def test_inaccurate_pair_rejected(self, eccentric, monkeypatch):
-        real_eigsh = linalg.eigsh
+        real_eigsh = scipy.sparse.linalg.eigsh
 
         def perturbed(*args, **kwargs):
             lams, vecs = real_eigsh(*args, **kwargs)
             return lams * (1.0 + 1e-6), vecs
 
-        monkeypatch.setattr(linalg, "eigsh", perturbed)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
         with pytest.raises(EigensolveError, match="residual"):
             eigs(eccentric, 3)
