@@ -9,18 +9,19 @@ boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values
 reach the solver as symmetric COO triplets over the union stencil
 (`mesher._union_matrix`), indexed by the mesh's own vertex numbers, whose
 folded θ-major order keeps every entry within 2N_r + 3 of the diagonal,
-so `linalg` packs K + M_∂ straight into a band; the boundary mass M_bb
-comes as COO triplets over the boundary loops (`mesher._loop_matrix`).
+so K + M_∂ packs straight into a band; the boundary mass M_bb comes as
+COO triplets over the boundary loops (`mesher._loop_matrix`).
 K alone is formed only on request (`AssembledSystem.stiffness`).  The
 spectrum comes from a standard-form Lanczos iteration on the boundary
-traces (see `linalg`); only the traces are kept.  A mesh that is its own
-mirror image under y ↦ −y, as the mesh of every table row is, is solved
-as two half pencils, one on even and one on odd vectors (`_solve_halves`).
-Each half's K + M_∂ is a band N_r + 2 wide and its M_bb one 2 wide; where
-every assembled entry lands in them, and with what sign, depends on the
-resolution alone, so `mesher._half_folds` works it out once per
+traces (see `linalg`); only the traces are kept.  Where every assembled
+entry lands in a band of K + M_∂ and of M_bb, and with what sign, depends
+on the resolution alone, so `mesher._folds` works it out once per
 resolution and a solve packs each band with one bincount over the
-assembled triplets.  Any other mesh is solved in one block.
+assembled triplets (`_solve_folds`).  A mesh that is its own mirror image
+under y ↦ −y, as the mesh of every table row is, is solved as two half
+pencils, one on even and one on odd vectors, each with a K + M_∂ band
+N_r + 2 wide and an M_bb band 2 wide; any other mesh is solved in one
+block, in its own numbering.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import AnnularDomain
-from .linalg import check_residual, lowest_pairs, steklov_eigs
-from .mesher import (Mesh, _half_folds, _loop_matrix, _split_quads, _union_matrix,
-                     build_annular_mesh)
+from .linalg import check_residual, lowest_pairs
+from .mesher import Mesh, _folds, _loop_matrix, _split_quads, _union_matrix, build_annular_mesh
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -144,14 +144,11 @@ def boundary_mass(mesh: Mesh) -> sp.coo_array:
 def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
     """`count` smallest Steklov eigenpairs of the assembled system: on a
     mirrored mesh, with count no larger than the odd half's n_b, as the
-    union of its even and odd half (`_solve_halves`); otherwise in one
-    block (`linalg.steklov_eigs`)."""
+    union of its even and odd half, otherwise in one block
+    (`_solve_folds`)."""
     mesh = system.mesh
-    if 1 <= count <= 2 * ((mesh.n_theta - 1) // 2) and mesh.mirrored:
-        eigenvalues, vectors = _solve_halves(system, count)
-    else:
-        eigenvalues, vectors = steklov_eigs(system.shifted, system.boundary_mass,
-                                            system.boundary_dofs, count)
+    halves = 1 <= count <= 2 * ((mesh.n_theta - 1) // 2) and mesh.mirrored
+    eigenvalues, vectors = _solve_folds(system, count, halves)
 
     # deterministic sign: the first nonzero boundary value on the outer loop,
     # from θ=0 on, is positive; the outer loop follows the inner one in
@@ -164,34 +161,42 @@ def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
                            boundary_dofs=system.boundary_dofs, mesh=mesh)
 
 
-def _solve_halves(system, count):
-    """Eigenpairs of a mirrored mesh from its even and odd half pencils.
+def _solve_folds(system, count, halves):
+    """The `count` smallest eigenpairs, ascending, with boundary traces in
+    boundary_dofs order, from the folds `mesher._folds` maps the pencil
+    onto: the whole mesh, or a mirrored mesh's even and odd half.  Raises
+    ValueError unless 1 ≤ count < n_b.
 
-    The mirror y ↦ −y commutes with K + M_∂ and M_∂, so their spectrum is
-    the union of the pencil restricted to even vectors and the pencil
-    restricted to odd ones.  With Q the injection of a half into all
-    vertices (1 on θ column i and on its mirror −i, negated past θ = π in
-    the odd half), each half pencil is Qᵀ(K + M_∂)Q against QᵀM_∂Q.  Where
-    each assembled entry lands in the half's band, and with what sign, is
-    fixed by the resolution (`mesher._half_folds`), so each band is packed
-    by one bincount over the stored entries and handed to `lowest_pairs`,
-    which factors it in place, before the next half is packed.  Each half's
-    band is N_r + 2 wide, and a double eigenvalue with an even and an odd
+    With Q the injection of a fold into all vertices, its pencil is
+    Qᵀ(K + M_∂)Q against QᵀM_∂Q; each band is packed by one bincount over
+    the stored entries and factored in place by `lowest_pairs` before the
+    next fold is packed.  The whole mesh, Q the identity, is asked for
+    count + 1 pairs (at most n_b − 1, ARPACK's limit): Lanczos finds the
+    second copy of a double eigenvalue only through round-off and locking,
+    and asked for exactly `count` pairs it can return the next eigenvalue
+    in its place.  The mirror y ↦ −y commutes with K + M_∂ and M_∂, so a
+    mirrored mesh's spectrum is the union of those of its even and odd
+    half, where Q is 1 on θ column i and its mirror −i, negated past θ = π
+    in the odd half, and a double eigenvalue with an even and an odd
     eigenvector splits into one simple eigenvalue per half.  The constant
     is even, so the `count` smallest pairs are among the `count` smallest
-    even ones and the `count − 1` smallest odd ones.  The half vectors are
-    unfolded, u = Q·u_half, and checked against the full pencil.
+    even ones and the `count − 1` smallest odd ones.  The fold vectors are
+    unfolded, u = Q·u_fold, and checked against the full pencil.
     """
     mesh = system.mesh
     k, mbb = system.shifted, system.boundary_mass
+    nb = len(system.boundary_dofs)
+    if not 1 <= count < nb:
+        raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
+    plan = (count, count - 1) if halves else (min(count + 1, nb - 1),)
     eigenvalues, vectors = [], []
-    for fold, computed in zip(_half_folds(mesh.n_theta, mesh.n_radial), (count, count - 1)):
+    for fold, computed in zip(_folds(mesh.n_theta, mesh.n_radial, halves), plan):
         if computed == 0:
             continue
-        lams, half_vectors = lowest_pairs(fold.stiffness.pack(k.data), fold.mass.pack(mbb.data),
-                                          fold.boundary, computed, computed)
+        lams, fold_vectors = lowest_pairs(fold.stiffness.pack(k.data), fold.mass.pack(mbb.data),
+                                          fold.boundary, computed, min(computed, count))
         eigenvalues.append(lams)
-        vectors.append(fold.sign[:, None] * half_vectors[fold.label])
+        vectors.append(fold.sign[:, None] * fold_vectors[fold.label])
     eigenvalues, vectors = np.concatenate(eigenvalues), np.hstack(vectors)
     lowest = np.argsort(eigenvalues, kind="stable")[:count]
     eigenvalues, vectors = eigenvalues[lowest], vectors[:, lowest]

@@ -30,12 +30,10 @@ checked against RESIDUAL_BOUND: K·u − λ·M_∂·u, computed as
 (K + M_∂)·u − (1 + λ)·M_∂·u, equals (1 + λ)·E·M_bb·(w − Eᵀu), the boundary
 eigen-residual.
 
-`steklov_eigs` solves a pencil in one block, packing both bands from
-triplets in any order.  Its two steps are public for `fem`, which solves a
-mirror-symmetric mesh as an even and an odd half pencil whose bands it
-packs itself: `lowest_pairs`, the lifted and normalized Lanczos pairs of
-one pencil, and `check_residual`, which checks their union against the
-full pencil.
+`fem` packs both bands and solves a pencil as one or more folds of it
+(the whole mesh, or its two mirror halves) with the two steps here:
+`lowest_pairs`, the lifted and normalized Lanczos pairs of one fold, and
+`check_residual`, which checks their union against the full pencil.
 
 ARPACK stops when the Euclidean norm of a Ritz residual of C is below
 LANCZOS_TOL times its Ritz value μ.  On y = Lᵀ·w that norm is the M_bb-norm
@@ -52,12 +50,7 @@ subpackage; the first solve pays that import once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # largest accepted ‖K·v − λ·M_∂·v‖ / ((1 + λ)·‖M_∂·v‖) of a returned pair
 RESIDUAL_BOUND = 1e-8
@@ -69,49 +62,15 @@ class EigensolveError(ValueError):
     """The Steklov pencil could not be solved to the residual bound."""
 
 
-def steklov_eigs(shifted: sp.sparray | sp.spmatrix, boundary_mass: sp.sparray | sp.spmatrix,
-                 boundary_dofs, count: int):
-    """`count` smallest eigenpairs of K·u = λ·M_∂·u, given K + M_∂.
-
-    shifted is K + M_∂ over all vertices, in any sparse format, duplicate
-    entries summed; boundary_mass is M_bb, indexed by position in
-    boundary_dofs.  K + M_∂ is factored in its own vertex numbering, and
-    M_bb in the ascending order of boundary_dofs; any numbering gives the
-    same pairs up to round-off, only the band widths, and with them memory
-    and speed, depend on it.  Returns the ascending eigenvalues and the
-    boundary traces as columns, in boundary_dofs order and normalized to
-    vᵀ·M_∂·v = 1.  Count + 1 pairs are computed (at most n_b − 1, ARPACK's
-    limit on the boundary pencil), so both copies of a double eigenvalue at
-    the end of the requested range come back: Lanczos finds the second copy
-    only through round-off and locking, and asked for exactly `count` pairs
-    it can return the next eigenvalue in its place.
-    """
-    import scipy.sparse as sp
-
-    boundary_dofs = np.asarray(boundary_dofs)
-    shifted = sp.coo_array(shifted)
-    nb = len(boundary_dofs)
-    if not 1 <= count < nb:
-        raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
-    order = np.argsort(boundary_dofs)
-    rank = np.argsort(order)  # of each boundary position in ascending vertex order
-    mbb = sp.coo_array(boundary_mass)
-    mass_band = _pack_band(sp.coo_array((mbb.data, (rank[mbb.row], rank[mbb.col])),
-                                        shape=mbb.shape))
-    eigenvalues, vectors = lowest_pairs(_pack_band(shifted), mass_band, boundary_dofs[order],
-                                        min(count + 1, nb - 1), count)
-    check_residual(shifted, boundary_mass, boundary_dofs, eigenvalues, vectors)
-    return eigenvalues, vectors[boundary_dofs]
-
-
 def lowest_pairs(band, mass_band, boundary_dofs, computed: int, count: int):
     """The `count` smallest of the `computed` smallest eigenpairs that the
     Lanczos iteration returns, unchecked: ascending eigenvalues and full
     vertex vectors u as columns, normalized to uᵀ·M_∂·u = 1.
 
     band is the lower band of K + M_∂ and mass_band that of M_bb, its rows
-    and columns in boundary_dofs order, each as `_pack_band` packs it;
-    both are factored in place.  1 ≤ count ≤ computed < n_b.
+    and columns in boundary_dofs order, each C-ordered as (n, kd+1): row j
+    holds the entries (j, j), (j+1, j), …, (j+kd, j).  Both are factored in
+    place.  1 ≤ count ≤ computed < n_b.
     """
     from scipy.linalg.blas import dtbmv
     from scipy.linalg.lapack import dpbtrs
@@ -167,27 +126,9 @@ def check_residual(shifted, boundary_mass, boundary_dofs, eigenvalues, vectors):
         raise EigensolveError(f"eigenpair residual {worst:.3g} exceeds {RESIDUAL_BOUND:g}")
 
 
-def _pack_band(a):
-    """The lower band of the symmetric COO matrix a, C-ordered as (n, kd+1),
-    kd the largest i − j of a stored entry: row j holds a[j, j],
-    a[j+1, j], …, a[j+kd, j].
-
-    One bincount over the entries on and below the diagonal packs it and
-    sums duplicates.
-    """
-    n = a.shape[0]
-    lower = a.row >= a.col
-    rows, cols = a.row[lower], a.col[lower]
-    kd = int(np.max(rows - cols, initial=0))
-    # entry (i, j) lands in row j, column i − j of the band, flat j·kd + i;
-    # in intp, as n·(kd+1) can pass the int32 range
-    return np.bincount(cols.astype(np.intp) * kd + rows, weights=a.data[lower],
-                       minlength=n * (kd + 1)).reshape(n, kd + 1)
-
-
 def _band_cholesky(band, name):
     """Lower Cholesky factor, in LAPACK band storage (kd+1, n), of the SPD
-    matrix `name` whose C-ordered (n, kd+1) band `_pack_band` packed:
+    matrix `name`, given its C-ordered (n, kd+1) lower band (`lowest_pairs`):
     entry (i − j, j) holds L[i, j].
 
     The band is factored through its transpose, which is Fortran-ordered,

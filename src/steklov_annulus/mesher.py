@@ -27,12 +27,12 @@ on them as a symmetric COO matrix, each position once, and the diagonal a
 quad does not take holds an explicit zero, inside the band.
 
 The mirror θ ↦ −θ maps the θ grid onto itself for any N_θ.
-`Mesh.mirrored` tells whether the ring array is symmetric under it, and
-`_half_folds` numbers its even and its odd half unfolded θ-major, with
-half-bandwidth N_r + 2, and works out once per resolution where each entry
-`_union_matrix` and `_loop_matrix` lay out lands in each half's band of
-K + M_∂ and of M_bb, and with what sign, for `fem` to pack them with one
-bincount each.
+`Mesh.mirrored` tells whether the ring array is symmetric under it.
+`_folds` works out once per resolution where each entry `_union_matrix`
+and `_loop_matrix` lay out lands in a band of K + M_∂ and of M_bb, and
+with what sign, for `fem` to pack each band with one bincount: on the
+whole mesh in its own numbering, or on its even and its odd half, each
+numbered unfolded θ-major with half-bandwidth N_r + 2.
 """
 
 from __future__ import annotations
@@ -178,15 +178,16 @@ def _numbering(n_theta, n_radial):
 @dataclass(frozen=True)
 class _BandFold:
     """Where each stored entry of a symmetric matrix lands in the lower band
-    of its fold QᵀAQ onto a mirror half, and with what weight.
+    of its fold QᵀAQ, and with what weight.
 
     The entries are the diagonal and each off-diagonal pair once, in the
     layout `_union_matrix` or `_loop_matrix` stores them first; slot is
     the flat position, j·kd + i, of the folded entry (i, j), i ≥ j, in a
-    C-ordered (n, kd+1) band, which is what `linalg._pack_band` makes of
-    the folded triplets.  weight is the product of the two ends' signs,
-    doubled where both ends of a pair fold onto one half vertex, whose
-    diagonal then receives the pair's entry and its transpose.
+    C-ordered (n, kd+1) band, whose row j holds the entries (j, j),
+    (j+1, j), …, (j+kd, j), kd the largest i − j of a folded entry.
+    weight is the product of the two ends' signs, doubled where both ends
+    of a pair fold onto one vertex, whose diagonal then receives the pair's
+    entry and its transpose.
     """
 
     slot: np.ndarray    # int32 where it fits
@@ -195,7 +196,7 @@ class _BandFold:
 
     @classmethod
     def of(cls, label, sign, p, q):
-        """The fold of the entries joining p and q, vertex v going to half
+        """The fold of the entries joining p and q, vertex v going to fold
         number label[v] with sign[v]."""
         lp, lq = label[p], label[q]
         lo, hi = np.minimum(lp, lq), np.maximum(lp, lq)
@@ -219,16 +220,15 @@ class _BandFold:
 
 
 @dataclass(frozen=True)
-class _HalfFold:
-    """One half of the mirror θ ↦ −θ at one resolution (`_half_folds`).
+class _Fold:
+    """The whole mesh or one mirror half at one resolution (`_folds`).
 
     label (V,) int32 and sign (V,) float give, for every mesh number, the
-    half vertex it folds onto and its sign there, so that Q·u_half is
-    sign·u_half[label].  boundary lists the half numbers of the half's
-    boundary vertices, ascending, the order in which its folded M_bb is a
-    band (kd = 2).  stiffness folds K + M_∂ from its union-stencil triplets
-    into the half's band, mass folds M_bb from its loop triplets into the
-    band over boundary.
+    fold vertex it lands on and its sign there, so that Q·u_fold is
+    sign·u_fold[label].  boundary lists the fold numbers of the boundary
+    vertices, ascending, the order in which its M_bb is a band.  stiffness
+    folds K + M_∂ from its union-stencil triplets into the fold's band,
+    mass folds M_bb from its loop triplets into the band over boundary.
     """
 
     label: np.ndarray
@@ -238,53 +238,57 @@ class _HalfFold:
     mass: _BandFold
 
 
-@functools.lru_cache(maxsize=4)
-def _half_folds(n_theta, n_radial):
-    """The even and the odd half of the mirror θ ↦ −θ at this resolution,
-    as `_HalfFold`s, built once per resolution and read-only; the last four
-    resolutions stay cached, enough for a refinement ladder.
+@functools.lru_cache(maxsize=8)
+def _folds(n_theta, n_radial, halves):
+    """The folds a solve at this resolution packs its bands by, as `_Fold`s,
+    built once per resolution and route and read-only; the last eight stay
+    cached, a refinement ladder on both routes.
 
-    θ column i folds onto half column h = min(i, N_θ − i), and a half
-    numbers its columns unfolded θ-major, vertex (j, h) at
-    (h − h₀)·(N_r+1) + j, so that every stencil edge spans at most N_r + 2
-    numbers.  The even half keeps h = 0 … ⌊N_θ/2⌋ with sign +1.  The odd
-    half keeps h = 1 … ⌈N_θ/2⌉ − 1 with sign −1 past θ = π; an odd vector
-    vanishes on the cut columns, θ = 0 and, for even N_θ, θ = π, which get
-    the sign 0 and the number of the kept column beside them, so that what
-    they touch folds to zero inside the half's band.  For odd N_θ the ring
-    edges across θ = π join the two columns that fold onto h = ⌊N_θ/2⌋
-    and fold onto its diagonal, with weight 2.
+    Without halves, the whole mesh in its own numbering: label the mesh
+    number, sign 1, M_bb numbered by the rank of each boundary vertex.
+    With halves, the even and the odd half of the mirror θ ↦ −θ: θ column
+    i folds onto half column h = min(i, N_θ − i), and a half numbers its
+    columns unfolded θ-major, vertex (j, h) at (h − h₀)·(N_r+1) + j, so
+    that every stencil edge spans at most N_r + 2 numbers.  The even half
+    keeps h = 0 … ⌊N_θ/2⌋ with sign +1.  The odd half keeps
+    h = 1 … ⌈N_θ/2⌉ − 1 with sign −1 past θ = π; an odd vector vanishes on
+    the cut columns, θ = 0 and, for even N_θ, θ = π, which get the sign 0
+    and the number of the kept column beside them, so that what they touch
+    folds to zero inside the half's band.  For odd N_θ the ring edges
+    across θ = π join the two columns that fold onto h = ⌊N_θ/2⌋ and fold
+    onto its diagonal, with weight 2.
     """
     layers = n_radial + 1
     number, p, q = _stencil(n_theta, n_radial)
-    # the θ column in each slot of the folded numbering: mesh number
-    # slot·(N_r+1) + j is vertex (j, column[slot])
-    column = np.empty(n_theta, dtype=np.int32)
-    column[number[0] // layers] = np.arange(n_theta)
-    h = np.minimum(column, n_theta - column)
-    ring = np.arange(layers, dtype=np.int32)
-
-    def by_number(half_column):
-        return (half_column[:, None] * layers + ring).ravel()
-
-    odd_sign = np.where((column == 0) | (2 * column == n_theta), 0.0,
-                        np.where(2 * column > n_theta, -1.0, 1.0))
+    slots = np.arange(n_theta, dtype=np.int32)
+    if halves:
+        # the θ column in each slot of the folded numbering: mesh number
+        # slot·(N_r+1) + j is vertex (j, column[slot])
+        column = np.empty_like(slots)
+        column[number[0] // layers] = slots
+        h = np.minimum(column, n_theta - column)
+        odd_sign = np.where((column == 0) | (2 * column == n_theta), 0.0,
+                            np.where(2 * column > n_theta, -1.0, 1.0))
+        by_slot = ((h, np.ones(n_theta)), (np.clip(h, 1, (n_theta - 1) // 2) - 1, odd_sign))
+    else:
+        by_slot = ((slots, np.ones(n_theta)),)
     ends = (np.concatenate([number, *p], axis=None), np.concatenate([number, *q], axis=None))
     loops = number[[0, -1]].ravel()  # the boundary vertices, inner loop then outer loop
     position, nxt = _loop_stencil(n_theta)
     loop_ends = (np.concatenate([position, position], axis=None),
                  np.concatenate([position, nxt], axis=None))
     folds = []
-    for label, sign in ((by_number(h), np.ones(number.size)),
-                        (by_number(np.clip(h, 1, (n_theta - 1) // 2) - 1),
-                         np.repeat(odd_sign, layers))):
-        # the half's boundary vertices, and where each boundary position lands among them
+    for fold_column, column_sign in by_slot:
+        # mesh number slot·(N_r+1) + j lands on fold number fold_column[slot]·(N_r+1) + j
+        label = (fold_column[:, None] * layers + np.arange(layers, dtype=np.int32)).ravel()
+        sign = np.repeat(column_sign, layers)
+        # the fold's boundary vertices, and where each boundary position lands among them
         boundary, on_boundary = np.unique(label[loops], return_inverse=True)
         for array in (label, sign, boundary):
             array.setflags(write=False)
-        folds.append(_HalfFold(label=label, sign=sign, boundary=boundary,
-                               stiffness=_BandFold.of(label, sign, *ends),
-                               mass=_BandFold.of(on_boundary, sign[loops], *loop_ends)))
+        folds.append(_Fold(label=label, sign=sign, boundary=boundary,
+                           stiffness=_BandFold.of(label, sign, *ends),
+                           mass=_BandFold.of(on_boundary, sign[loops], *loop_ends)))
     return tuple(folds)
 
 
@@ -339,7 +343,7 @@ def _union_matrix(vertex, radial, around, on_ac, on_bd):
     and (j+1, i), around (N_r+1, N_θ) couples (j, i) and (j, i+1), and
     on_ac and on_bd (N_r, N_θ) are the quad diagonals (j, i)–(j+1, i+1) and
     (j+1, i)–(j, i+1).  The diagonal comes first, then every edge (p, q) in
-    `_stencil` order, then every (q, p): `_half_folds` reads the first
+    `_stencil` order, then every (q, p): `_folds` reads the first
     V + E entries.
     """
     import scipy.sparse as sp

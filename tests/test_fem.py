@@ -7,12 +7,13 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from steklov_annulus import analytic, fem, linalg, mesher
+from band_reference import pack_band
+from steklov_annulus import analytic, fem, mesher
 from steklov_annulus.experiments import EPS0, TRANSLATION_TABLES
 from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, Circle,
                                       CosinePerturbedCircle, amplitude_for_perimeter)
-from steklov_annulus.linalg import EigensolveError, steklov_eigs
+from steklov_annulus.linalg import EigensolveError
 from steklov_annulus.mesher import Mesh, MeshingError, build_annular_mesh, radial_grading
 
 TWO_PI = 2.0 * math.pi
@@ -310,13 +311,19 @@ def reference_halves(n_theta, n_radial):
     return halves
 
 
+def assert_read_only(fold):
+    for array in (fold.label, fold.sign, fold.boundary, fold.stiffness.slot,
+                  fold.stiffness.weight, fold.mass.slot, fold.mass.weight):
+        assert not array.flags.writeable
+
+
 def generic_fold(matrix, label, sign, n):
     """The lower band of QᵀAQ: the triplets of A renumbered by label,
-    weighted by the signs of both ends and packed as `steklov_eigs` packs
-    any matrix."""
+    weighted by the signs of both ends and packed by the reference packer,
+    which takes any matrix."""
     a = sp.coo_array(matrix)
-    return linalg._pack_band(sp.coo_array((sign[a.row] * sign[a.col] * a.data,
-                                           (label[a.row], label[a.col])), shape=(n, n)))
+    return pack_band(sp.coo_array((sign[a.row] * sign[a.col] * a.data,
+                                   (label[a.row], label[a.col])), shape=(n, n)))
 
 
 class TestMirrorHalves:
@@ -329,12 +336,15 @@ class TestMirrorHalves:
         N_θ, where each band entry sums at most two terms, and to 2 ulps of
         the largest entry for odd N_θ, where the ring edges across θ = π
         fold onto the diagonal with weight 2 and are summed in another
-        order.  The map is read-only and built once per resolution."""
+        order.  The whole fold of an off-axis hole, Q the identity, equals
+        the generic packing bit for bit, each band slot receiving one
+        entry; its bands are (V, 2N_r + 4) and (2N_θ, 5).  Every map is
+        read-only and built once per resolution and route."""
         domain, grading = ORACLE_DOMAINS["cosine k=5"]
         mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
         assert mesh.mirrored
         system = assemble(mesh)
-        folds = mesher._half_folds(n_theta, n_radial)
+        folds = mesher._folds(n_theta, n_radial, True)
         for fold, (label, sign) in zip(folds, reference_halves(n_theta, n_radial)):
             np.testing.assert_array_equal(fold.label, label)
             np.testing.assert_array_equal(fold.sign, sign)
@@ -355,13 +365,34 @@ class TestMirrorHalves:
             assert fold.stiffness.shape == (label.max() + 1, n_radial + 3)
             assert fold.mass.shape == (len(half_dofs), 3)
             assert np.any(np.abs(fold.stiffness.weight) == 2) == (n_theta % 2 == 1)
-            for array in (fold.label, fold.sign, fold.boundary, fold.stiffness.slot,
-                          fold.stiffness.weight, fold.mass.slot, fold.mass.weight):
-                assert not array.flags.writeable
-        misses = mesher._half_folds.cache_info().misses
+            assert_read_only(fold)
+
+        off_axis = build_annular_mesh(ORACLE_DOMAINS["graded"][0], n_theta, n_radial)
+        assert not off_axis.mirrored
+        whole_system = assemble(off_axis)
+        (whole,) = mesher._folds(n_theta, n_radial, False)
+        n, dofs = len(off_axis.vertices), whole_system.boundary_dofs
+        np.testing.assert_array_equal(whole.label, np.arange(n))
+        np.testing.assert_array_equal(whole.sign, np.ones(n))
+        np.testing.assert_array_equal(whole.boundary, np.sort(dofs))
+        rank = np.argsort(np.argsort(dofs))
+        pairs = [(whole.stiffness.pack(whole_system.shifted.data),
+                  generic_fold(whole_system.shifted, np.arange(n), np.ones(n), n)),
+                 (whole.mass.pack(whole_system.boundary_mass.data),
+                  generic_fold(whole_system.boundary_mass, rank, np.ones(len(dofs)), len(dofs)))]
+        for band, reference in pairs:
+            np.testing.assert_array_equal(band, reference)
+        assert np.bincount(whole.stiffness.slot).max() == np.bincount(whole.mass.slot).max() == 1
+        assert whole.stiffness.shape == (n, 2 * n_radial + 4)
+        assert whole.mass.shape == (2 * n_theta, 5)
+        assert_read_only(whole)
+
+        misses = mesher._folds.cache_info().misses
         solve_spectrum(system, 3)
-        assert mesher._half_folds(n_theta, n_radial) is folds
-        assert mesher._half_folds.cache_info().misses == misses
+        solve_spectrum(whole_system, 3)
+        assert mesher._folds(n_theta, n_radial, True) is folds
+        assert mesher._folds(n_theta, n_radial, False)[0] is whole
+        assert mesher._folds.cache_info().misses == misses
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["concentric", "x-axis", "cosine", "graded"]),
@@ -391,7 +422,7 @@ class TestMirrorHalves:
         assert mesh.mirrored
         system = assemble(mesh)
         spectrum = solve_spectrum(system, count)
-        lams, _ = steklov_eigs(system.shifted, system.boundary_mass, system.boundary_dofs, count)
+        lams, _ = fem._solve_folds(system, count, halves=False)
         np.testing.assert_allclose(spectrum.eigenvalues, lams, rtol=1e-12, atol=1e-12 * lams[-1])
         v = spectrum.boundary_vectors
         np.testing.assert_allclose(v.T @ system.boundary_mass @ v, np.eye(count), atol=1e-10)
@@ -412,6 +443,33 @@ class TestMirrorHalves:
         solve_domain(concentric(0.3), 256, 24, count=3)
         assert sorted(shapes) == [(3, 127 * 2), (3, 129 * 2),
                                   (24 + 3, 127 * 25), (24 + 3, 129 * 25)]
+
+    def test_one_full_width_factor(self, monkeypatch):
+        """An off-axis 256×24 solve factors exactly one band of K + M_∂, of
+        half-width 2N_r + 3 (52 rows) over all 6400 vertices, and one band
+        of M_bb, of half-width 4 (5 rows) over the 512 boundary vertices.
+        Its fold map is built once: a second solve at that resolution makes
+        no cache miss, and a mirrored solve there gets its own entry."""
+        real_dpbtrf = scipy.linalg.lapack.dpbtrf
+        shapes = []
+
+        def recorded_dpbtrf(ab, *args, **kwargs):
+            shapes.append(ab.shape)
+            return real_dpbtrf(ab, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", recorded_dpbtrf)
+        mesher._folds.cache_clear()
+        off_axis, _ = ORACLE_DOMAINS["eccentric"]
+        solve_domain(off_axis, 256, 24, count=3)
+        assert sorted(shapes) == [(5, 512), (2 * 24 + 4, 256 * 25)]
+        assert mesher._folds.cache_info().misses == 1
+        solve_domain(off_axis, 256, 24, count=3)
+        assert mesher._folds.cache_info().misses == 1
+        solve_domain(concentric(0.3), 256, 24, count=3)
+        info = mesher._folds.cache_info()
+        assert info.misses == 2 and info.currsize == 2
+        assert len(mesher._folds(256, 24, True)) == 2
+        assert len(mesher._folds(256, 24, False)) == 1
 
     def test_concentric_traces_have_parity(self):
         """Every concentric trace is exactly even or exactly odd under

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -17,10 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from steklov_annulus import analytic, mesher
+from band_reference import solve_pencil
+from steklov_annulus import analytic, fem, mesher
 from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
-from steklov_annulus.linalg import EigensolveError, steklov_eigs
+from steklov_annulus.linalg import EigensolveError, lowest_pairs
 from steklov_annulus.mesher import MeshingError, build_annular_mesh
 
 
@@ -30,8 +32,17 @@ def annulus(radius, center=(0.0, 0.0)):
 
 
 def eigs(system, count):
-    """steklov_eigs on an assembled system."""
-    return steklov_eigs(system.shifted, system.boundary_mass, system.boundary_dofs, count)
+    """The one-block solve of an assembled system, the route of every mesh
+    with no mirror symmetry."""
+    return fem._solve_folds(system, count, halves=False)
+
+
+def with_shifted_data(system, data):
+    """The system with the entries of K + M_∂ replaced by data, in the
+    assembled layout."""
+    k = system.shifted
+    return dataclasses.replace(system, shifted=sp.coo_array((data, (k.row, k.col)),
+                                                            shape=k.shape))
 
 
 def relabel(system, label):
@@ -124,17 +135,23 @@ class TestSmallestEigenpairs:
         assert np.all(v[outer_start, :] >= 0.0)
 
     def test_extra_pair_completes_double_eigenvalue(self):
-        """Both copies of the double λ₁ of a concentric annulus at 512×48,
-        solved in one block, match the closed form.  ARPACK finds the second
-        copy of a double eigenvalue only through round-off and locking, so
-        asking it for exactly `count` = 3 pairs here returns λ₂ ≈ 1.998 in
-        place of the second λ₁; the extra pair steklov_eigs computes
-        prevents that.  (solve_spectrum splits this mesh into mirror halves,
-        where λ₁ is simple.)"""
+        """Both copies of the double λ₁ of a concentric annulus, solved in
+        one block, come back: at 512×48 they match the closed form, and on
+        60 radii from 0.05 to 0.7 at 128×12 they agree to 1e-8.  ARPACK
+        finds the second copy of a double eigenvalue only through round-off
+        and locking, so asked for exactly `count` = 3 pairs it returns
+        λ₂ ≈ 2 in place of the second λ₁ on some radii (8 of the 60 at
+        128×12, none at ε = 0.14054703734224616 at 512×48 since the
+        standard-form Lanczos; which ones depends on round-off); the extra
+        pair the one-block solve computes prevents that.  (solve_spectrum
+        splits these meshes into mirror halves, where λ₁ is simple.)"""
         eps = 0.14054703734224616
         lam1 = analytic.steklov_eig(eps, 1, "minus")
         lams, _ = eigs(assemble(build_annular_mesh(annulus(eps), 512, 48)), 3)
         np.testing.assert_allclose(lams[1:3], lam1, rtol=1e-3)
+        for radius in np.linspace(0.05, 0.7, 60):
+            lams, _ = eigs(assemble(build_annular_mesh(annulus(radius), 128, 12)), 3)
+            assert lams[2] - lams[1] < 1e-8 * lams[1]
 
     def test_double_eigenspace_matches_dense(self):
         """Inside the double λ₁ the basis is arbitrary, the eigenspace is not:
@@ -184,10 +201,14 @@ class TestSmallestEigenpairs:
             np.testing.assert_allclose(lams[1:], ref[1:count], rtol=1e-10)
 
     def test_count_validation(self, eccentric):
-        nb = len(eccentric.boundary_dofs)
-        for count in (0, nb):
-            with pytest.raises(ValueError):
-                eigs(eccentric, count)
+        """Counts outside [1, n_b − 1] are refused on a mirrored and an
+        unmirrored mesh alike."""
+        concentric = assemble(build_annular_mesh(annulus(0.3), 32, 4))
+        assert concentric.mesh.mirrored and not eccentric.mesh.mirrored
+        for system in (concentric, eccentric):
+            for count in (0, len(system.boundary_dofs)):
+                with pytest.raises(ValueError):
+                    solve_spectrum(system, count)
 
 
 class TestEliminationOrder:
@@ -196,12 +217,13 @@ class TestEliminationOrder:
         order and one relabelled by a seeded random permutation give the same
         eigenvalues to 1e-12 and, up to sign, the same traces of the simple
         eigenvalues to 1e-10.  The relabelled bands are wide (N_θ + 1 in
-        ring order, nearly n at random), which costs time, not accuracy."""
+        ring order, nearly n at random), which costs time, not accuracy;
+        they are packed by the reference packer, not a fold map."""
         n = eccentric.shifted.shape[0]
         ref_lams, ref_vecs = eigs(eccentric, 6)
         assert np.all(np.diff(ref_lams) > 1e-3)  # simple; the closest pair is λ₃, λ₄
         for label in (ring_labels(eccentric.mesh), np.random.default_rng(7).permutation(n)):
-            lams, vecs = steklov_eigs(*relabel(eccentric, label), 6)
+            lams, vecs = solve_pencil(*relabel(eccentric, label), 6)
             assert abs(lams[0]) < 1e-10
             np.testing.assert_allclose(lams[1:], ref_lams[1:], rtol=1e-12, atol=0.0)
             vecs = vecs * np.sign(np.sum(vecs * ref_vecs, axis=0))
@@ -273,28 +295,8 @@ class TestEliminationOrder:
                                                              + shifted.row))
         assert abs(shifted - shifted.T).max() == 0.0
 
-    def test_duplicate_entries_are_summed(self, eccentric):
-        """K + M_∂ with every entry split into two halves, as COO and as a
-        non-canonical CSC, gives the pairs of the assembled system: the band
-        is packed by summing duplicates, not by keeping the last one."""
-        ref_lams, ref_vecs = eigs(eccentric, 3)
-        k = sp.coo_array(eccentric.shifted)
-        half = 0.5 * k.data
-        rows, cols = np.concatenate([k.row, k.row]), np.concatenate([k.col, k.col])
-        split = sp.coo_array((np.concatenate([half, k.data - half]), (rows, cols)), shape=k.shape)
-        order = np.lexsort((rows, cols))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=k.shape[0]))])
-        doubled = sp.csc_matrix((split.data[order], rows[order], indptr), shape=k.shape)
-        assert not doubled.has_canonical_format
-        for shifted in (split, doubled):
-            lams, vecs = steklov_eigs(shifted, eccentric.boundary_mass,
-                                      eccentric.boundary_dofs, 3)
-            np.testing.assert_allclose(lams, ref_lams, rtol=0.0, atol=1e-12)
-            vecs = vecs * np.sign(np.sum(vecs * ref_vecs, axis=0))
-            np.testing.assert_allclose(vecs, ref_vecs, rtol=0.0, atol=1e-12)
-
     def test_mesh_numbering_is_fill_reducing(self):
-        """Factored in its own numbering with no reordering, as steklov_eigs
+        """Factored in its own numbering with no reordering, as the solve
         does, K + M_∂ of an eccentric 64×8 mesh fills no more than its band
         of half-width 2N_r + 3, under a third of the L + U entries that ring
         order gives (about 0.32×), and at most 1.5× what SuperLU's
@@ -338,7 +340,7 @@ class TestEliminationOrder:
             gc.enable()
 
     def test_factor_is_made_in_place(self):
-        """The tracemalloc peak of one 256×24 steklov_eigs stays below 1.5×
+        """The tracemalloc peak of one 256×24 one-block solve stays below 1.5×
         the bytes of its band array: the band is packed once, factored in
         place and applied without a copy.  A C-ordered band would make f2py
         copy it inside dpbtrf or on every dpbtrs call, a second band."""
@@ -386,26 +388,33 @@ class TestEliminationOrder:
 
 class TestSolverFailure:
     def test_singular_pencil_raises(self):
-        # vertex 2 is not coupled to anything, so K + M_∂ is singular
-        k = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        # vertex 2 is not coupled to anything, so K + M_∂ is singular; the
+        # bands hold rows (a[j, j], a[j+1, j])
+        band = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(EigensolveError):
-            steklov_eigs(k, sp.identity(2, format="csr"), [0, 1], 1)
+            lowest_pairs(band, np.ones((2, 1)), np.array([0, 1]), 1, 1)
 
     def test_indefinite_matrix_raises(self, eccentric):
         """A negative diagonal entry makes K + M_∂ indefinite: dpbtrf
         meets a nonpositive pivot."""
-        shifted = eccentric.shifted.tocsc()
-        shifted[5, 5] = -1.0
+        data = eccentric.shifted.data.copy()
+        data[5] = -1.0  # the diagonal comes first in the assembled layout
         with pytest.raises(EigensolveError, match="Cholesky"):
-            steklov_eigs(shifted, eccentric.boundary_mass, eccentric.boundary_dofs, 3)
+            eigs(with_shifted_data(eccentric, data), 3)
 
     def test_nan_entry_raises(self, eccentric):
         """A NaN coupling does not stop dpbtrf, whose pivot test NaN
         passes, but it reaches the diagonal of the factor."""
-        shifted = eccentric.shifted.tocsc()
-        shifted[0, 1] = shifted[1, 0] = np.nan  # vertices 0 and 1 share a radial edge
+        shifted = eccentric.shifted
+        data = shifted.data.copy()
+        # the first entry past the diagonal is the radial edge from vertex 0
+        # to vertex 1; its transpose is the first of the second copies
+        first = len(eccentric.mesh.vertices)
+        edge = (first, first + (len(data) - first) // 2)
+        assert {(shifted.row[i], shifted.col[i]) for i in edge} == {(0, 1), (1, 0)}
+        data[list(edge)] = np.nan
         with pytest.raises(EigensolveError, match="Cholesky"):
-            steklov_eigs(shifted, eccentric.boundary_mass, eccentric.boundary_dofs, 3)
+            eigs(with_shifted_data(eccentric, data), 3)
 
     def test_no_convergence_raises(self, eccentric, monkeypatch):
         def no_convergence(*args, **kwargs):
