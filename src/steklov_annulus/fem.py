@@ -5,23 +5,25 @@ edge by edge from the mesh's ring array (see `mesher`), never forming its
 vertex or triangle list: each quad's edge vectors give, through their
 cross and dot products, the stiffness −½(cot α + cot β) of each of its
 edges; every row's diagonal is minus its off-diagonal sum; and each
-boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values
-reach the solver as symmetric COO triplets over the union stencil
-(`mesher._union_matrix`), indexed by the mesh's own vertex numbers, whose
-folded θ-major order keeps every entry within 2N_r + 3 of the diagonal,
-so K + M_∂ packs straight into a band; the boundary mass M_bb comes as
-COO triplets over the boundary loops (`mesher._loop_matrix`).
-K alone is formed only on request (`AssembledSystem.stiffness`).  The
-spectrum comes from a standard-form Lanczos iteration on the boundary
-traces (see `linalg`); only the traces are kept.  Where every assembled
-entry lands in a band of K + M_∂ and of M_bb, and with what sign, depends
-on the resolution alone, so `mesher._folds` works it out once per
-resolution and a solve packs each band with one bincount over the
-assembled triplets (`_solve_folds`).  A mesh that is its own mirror image
-under y ↦ −y, as the mesh of every table row is, is solved as two half
-pencils, one on even and one on odd vectors, each with a K + M_∂ band
-N_r + 2 wide and an M_bb band 2 wide; any other mesh is solved in one
-block, in its own numbering.
+boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values are
+written once into one flat array of ring-space entries on the union
+stencil (`mesher._union_parts`), and the boundary mass M_bb into one of
+its loop entries; no sparse matrix is formed on the way to the
+eigenvalues.  The mesh's folded θ-major numbering keeps every entry within
+2N_r + 3 of the diagonal, so K + M_∂ packs straight into a band.  Where
+every held entry lands in a band of K + M_∂ and of M_bb, and with what
+sign, depends on the resolution alone, so `mesher._folds` works it out
+once per resolution and a solve packs each band with one bincount over the
+entries (`_solve_folds`).  A mesh that is its own mirror image under
+y ↦ −y, as the mesh of every table row is, is solved as two half pencils,
+one on even and one on odd vectors, each with a K + M_∂ band N_r + 2 wide
+and an M_bb band 2 wide; any other mesh is solved in one block, in its own
+numbering.  The spectrum comes from a standard-form Lanczos iteration on
+the boundary traces (see `linalg`); only the traces are kept.  Every pair
+is checked against the full pencil, K + M_∂ and M_bb applied by their
+ring stencils (`mesher._union_product`, `mesher._loop_product`).  The COO
+matrices of K + M_∂, M_bb and K alone are built on request only
+(`AssembledSystem.shifted`, `.boundary_mass`, `.stiffness`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ import numpy as np
 
 from .geometry import AnnularDomain
 from .linalg import check_residual, lowest_pairs
-from .mesher import Mesh, _folds, _loop_matrix, _split_quads, _union_matrix, build_annular_mesh
+from .mesher import (Mesh, _folds, _loop_matrix, _loop_product, _numbering, _quad_sides,
+                     _twice_areas, _union_matrix, _union_parts, _union_product,
+                     build_annular_mesh)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -42,15 +46,48 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    shifted: sp.coo_array               # K + M_∂, laid out by mesher._union_matrix
-    boundary_mass: sp.coo_array         # M_bb over boundary_dofs, by mesher._loop_matrix
+    """K + M_∂ and M_bb of a mesh as their ring-space entries, read-only.
+
+    entries holds the V + E values of K + M_∂ on the union stencil, flat,
+    in the order `mesher._union_matrix` lays out its first V + E entries
+    (`parts` gives its ring-space views); mass_entries holds M_bb over
+    boundary_dofs, its diagonal (2, N_θ) and then its loop edges (2, N_θ),
+    flat.  The matrices themselves are built on request only, for the
+    tests and for callers that want them; the solve never forms them.
+    """
+
+    entries: np.ndarray
+    mass_entries: np.ndarray
     boundary_dofs: np.ndarray           # vertex indices, inner loop then outer loop
     mesh: Mesh
 
-    @functools.cached_property
+    @property
+    def parts(self):
+        """The ring-space views vertex, radial, around, on_ac, on_bd of
+        entries (`mesher._union_parts`)."""
+        return _union_parts(self.entries, self.mesh.n_theta, self.mesh.n_radial)
+
+    @property
+    def mass_parts(self):
+        """The views diagonal and edge, each (2, N_θ), of mass_entries."""
+        return tuple(self.mass_entries.reshape(2, 2, -1))
+
+    @property
+    def shifted(self) -> sp.coo_array:
+        """K + M_∂ as a COO matrix, laid out by `mesher._union_matrix`."""
+        return _union_matrix(*self.parts)
+
+    @property
+    def boundary_mass(self) -> sp.coo_array:
+        """M_bb over boundary_dofs as a COO matrix, by `mesher._loop_matrix`."""
+        return _loop_matrix(*self.mass_parts)
+
+    @property
     def stiffness(self) -> sp.coo_array:
-        """K alone, on the same stencil; the solve never needs it."""
-        return _assemble(self.mesh, with_boundary=False)
+        """K alone, on the same stencil."""
+        mesh = self.mesh
+        return _union_matrix(*_union_parts(_assemble(mesh, with_boundary=False),
+                                           mesh.n_theta, mesh.n_radial))
 
 
 @dataclass(frozen=True)
@@ -80,40 +117,48 @@ class SteklovSpectrum:
 
 def assemble(mesh: Mesh) -> AssembledSystem:
     """K + M_∂ over all vertices plus the boundary mass over boundary dofs,
-    both from the mesh's ring array alone."""
-    return AssembledSystem(shifted=_assemble(mesh, with_boundary=True),
-                           boundary_mass=boundary_mass(mesh),
+    both from the mesh's ring array alone, as their ring-space entries."""
+    return AssembledSystem(entries=_assemble(mesh, with_boundary=True),
+                           mass_entries=_loop_entries(mesh),
                            boundary_dofs=mesh.boundary_vertices, mesh=mesh)
 
 
 def _assemble(mesh, with_boundary):
-    """K, plus M_∂ if with_boundary, in one pass over the ring-space quads."""
+    """K, plus M_∂ if with_boundary, in one pass over the ring-space quads,
+    as the flat entries `mesher._union_parts` splits."""
     ring = mesh.ring
-    use_ac, edges, diagonal, cross = _split_quads(ring)
+    use_ac, (ab, bc, cd, da), g = _quad_sides(ring)
+    first, second = 0.5 / _twice_areas(use_ac, (ab, bc, cd, da))
 
     def dot(u, v):
         return u[0] * v[0] + u[1] * v[1]
 
     # in a CCW triangle with edge vectors u, v, w the entry of edge u is
-    # −½·cot of the angle opposite it, v·w / (2·u × v); the quad's first
-    # triangle has the edges f0, f1, −diagonal, its second f2, f3, diagonal
-    f0, f1, f2, f3 = edges.swapaxes(0, 1)
-    first, second = 0.5 / cross
-    sides = np.stack([-dot(f1, diagonal) * first, -dot(diagonal, f0) * first,
-                      dot(f3, diagonal) * second, dot(diagonal, f2) * second])
-    # back from "CCW from the start of the diagonal" to (ab, bc, cd, da)
-    ab, bc, cd, da = np.where(use_ac, sides, np.roll(sides, -1, axis=0))
-    across = dot(f0, f1) * first + dot(f2, f3) * second
-    on_ac = np.where(use_ac, across, 0.0)
-    on_bd = across - on_ac  # explicit zero on the diagonal the quad does not take
+    # −½·cot of the angle opposite it, v·w / (2·u × v).  Taken CCW from the
+    # start of the diagonal g, a quad's edges are f0, f1, f2, f3 = ab, bc,
+    # cd, da or da, ab, bc, cd; its first triangle has the edges f0, f1, −g,
+    # its second f2, f3, g.  Each side takes its entry from whichever split
+    # the quad has, one scalar where at a time
+    on_ab = np.where(use_ac, -dot(bc, g), -dot(g, da)) * first
+    on_bc = np.where(use_ac, -dot(g, ab) * first, dot(cd, g) * second)
+    on_cd = np.where(use_ac, dot(da, g), dot(g, bc)) * second
+    on_da = np.where(use_ac, dot(g, cd) * second, -dot(ab, g) * first)
+    across = (np.where(use_ac, dot(ab, bc), dot(da, ab)) * first
+              + np.where(use_ac, dot(cd, da), dot(bc, cd)) * second)
+    del ab, bc, cd, da, g, first, second  # freed before the entries are allocated
+
+    entries = np.empty((5 * mesh.n_radial + 2) * mesh.n_theta)  # V + E
+    vertex, radial, around, on_ac, on_bd = _union_parts(entries, mesh.n_theta, mesh.n_radial)
+    on_ac[...] = np.where(use_ac, across, 0.0)
+    on_bd[...] = across - on_ac  # explicit zero on the diagonal the quad does not take
 
     # radial edge (j, i)–(j+1, i): side ab of quad (j, i), side cd of quad (j, i−1)
-    radial = ab + np.roll(cd, 1, axis=1)
+    radial[...] = on_ab + np.roll(on_cd, 1, axis=1)
     # ring edge (j, i)–(j, i+1): side da of the quad outward of ring j, bc of the one inward
-    around = np.zeros(ring.shape[1:])
-    around[:-1] = da
-    around[1:] += bc
-    vertex = -(around + np.roll(around, 1, axis=1))
+    around[:-1] = on_da
+    around[-1] = 0.0
+    around[1:] += on_bc
+    vertex[...] = -(around + np.roll(around, 1, axis=1))
     vertex[:-1] -= radial + on_ac + np.roll(on_bd, 1, axis=1)  # corner a or d of its layer
     vertex[1:] -= radial + on_bd + np.roll(on_ac, 1, axis=1)   # corner b or c of its layer
 
@@ -124,8 +169,19 @@ def _assemble(mesh, with_boundary):
             around[j] += length / 6.0
             third = length / 3.0
             vertex[j] += third + np.roll(third, 1)
+    entries.setflags(write=False)
+    return entries
 
-    return _union_matrix(vertex, radial, around, on_ac, on_bd)
+
+def _loop_entries(mesh):
+    """The entries of M_bb, flat: diagonal (2, N_θ), then edge (2, N_θ)
+    coupling θ column i of a loop to column i+1 (`mesher._loop_matrix`)."""
+    loops = mesh.ring[:, [0, -1]]
+    lengths = np.linalg.norm(np.roll(loops, -1, axis=2) - loops, axis=0)
+    third = lengths / 3.0
+    entries = np.stack([third + np.roll(third, 1, axis=1), lengths / 6.0]).ravel()
+    entries.setflags(write=False)
+    return entries
 
 
 def boundary_mass(mesh: Mesh) -> sp.coo_array:
@@ -133,12 +189,9 @@ def boundary_mass(mesh: Mesh) -> sp.coo_array:
 
     Rows and columns are positions in `mesh.boundary_vertices`; each loop
     edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  COO, each position once,
-    laid out by `mesher._loop_matrix`.
+    laid out by `mesher._loop_matrix`; the solve never forms it.
     """
-    loops = mesh.ring[:, [0, -1]]
-    lengths = np.linalg.norm(np.roll(loops, -1, axis=2) - loops, axis=0)
-    third = lengths / 3.0
-    return _loop_matrix(third + np.roll(third, 1, axis=1), lengths / 6.0)
+    return _loop_matrix(*_loop_entries(mesh).reshape(2, 2, -1))
 
 
 def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
@@ -169,7 +222,7 @@ def _solve_folds(system, count, halves):
 
     With Q the injection of a fold into all vertices, its pencil is
     Qᵀ(K + M_∂)Q against QᵀM_∂Q; each band is packed by one bincount over
-    the stored entries and factored in place by `lowest_pairs` before the
+    the held entries and factored in place by `lowest_pairs` before the
     next fold is packed.  The whole mesh, Q the identity, is asked for
     count + 1 pairs (at most n_b − 1, ARPACK's limit): Lanczos finds the
     second copy of a double eigenvalue only through round-off and locking,
@@ -181,27 +234,33 @@ def _solve_folds(system, count, halves):
     eigenvector splits into one simple eigenvalue per half.  The constant
     is even, so the `count` smallest pairs are among the `count` smallest
     even ones and the `count − 1` smallest odd ones.  The fold vectors are
-    unfolded, u = Q·u_fold, and checked against the full pencil.
+    unfolded, u = Q·u_fold, in ring order and checked against the full
+    pencil, applied by its ring stencils.
     """
     mesh = system.mesh
-    k, mbb = system.shifted, system.boundary_mass
     nb = len(system.boundary_dofs)
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
     plan = (count, count - 1) if halves else (min(count + 1, nb - 1),)
+    # in ring order the boundary loops are the first and the last ring
+    number = _numbering(mesh.n_theta, mesh.n_radial).ravel()
     eigenvalues, vectors = [], []
     for fold, computed in zip(_folds(mesh.n_theta, mesh.n_radial, halves), plan):
         if computed == 0:
             continue
-        lams, fold_vectors = lowest_pairs(fold.stiffness.pack(k.data), fold.mass.pack(mbb.data),
+        lams, fold_vectors = lowest_pairs(fold.stiffness.pack(system.entries),
+                                          fold.mass.pack(system.mass_entries),
                                           fold.boundary, computed, min(computed, count))
         eigenvalues.append(lams)
-        vectors.append(fold.sign[:, None] * fold_vectors[fold.label])
+        vectors.append(fold.sign[number, None] * fold_vectors[fold.label[number]])
     eigenvalues, vectors = np.concatenate(eigenvalues), np.hstack(vectors)
     lowest = np.argsort(eigenvalues, kind="stable")[:count]
     eigenvalues, vectors = eigenvalues[lowest], vectors[:, lowest]
-    check_residual(k, mbb, system.boundary_dofs, eigenvalues, vectors)
-    return eigenvalues, vectors[system.boundary_dofs]
+    loops = np.r_[:mesh.n_theta, number.size - mesh.n_theta:number.size]
+    check_residual(functools.partial(_union_product, *system.parts),
+                   functools.partial(_loop_product, *system.mass_parts),
+                   loops, eigenvalues, vectors)
+    return eigenvalues, vectors[loops]
 
 
 def solve_domain(domain: AnnularDomain, n_theta: int, n_radial: int,

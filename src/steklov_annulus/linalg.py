@@ -33,7 +33,10 @@ eigen-residual.
 `fem` packs both bands and solves a pencil as one or more folds of it
 (the whole mesh, or its two mirror halves) with the two steps here:
 `lowest_pairs`, the lifted and normalized Lanczos pairs of one fold, and
-`check_residual`, which checks their union against the full pencil.
+`check_residual`, which checks their union against the full pencil.  This
+module is given no matrix beyond the two bands: `check_residual` takes
+K + M_∂ and M_bb as functions that apply them to one vector, which `fem`
+does by their ring stencils, and applies them one column at a time.
 
 ARPACK stops when the Euclidean norm of a Ritz residual of C is below
 LANCZOS_TOL times its Ritz value μ.  On y = Lᵀ·w that norm is the M_bb-norm
@@ -114,14 +117,22 @@ def lowest_pairs(band, mass_band, boundary_dofs, computed: int, count: int):
 
 def check_residual(shifted, boundary_mass, boundary_dofs, eigenvalues, vectors):
     """Raise EigensolveError unless every pair (λ, u), u a full vertex
-    vector, has ‖K·u − λ·M_∂·u‖ / ((1 + λ)·‖M_∂·u‖) ≤ RESIDUAL_BOUND;
-    shifted is K + M_∂, boundary_mass M_bb in boundary_dofs order."""
-    mv = boundary_mass @ vectors[boundary_dofs]  # M_∂·u, zero off the boundary
-    residual = shifted @ vectors
-    residual[boundary_dofs] -= mv * (1.0 + eigenvalues)
-    residual = (np.linalg.norm(residual, axis=0)
-                / ((1.0 + eigenvalues) * np.linalg.norm(mv, axis=0)))
-    worst = float(np.max(residual))
+    vector, has ‖K·u − λ·M_∂·u‖ / ((1 + λ)·‖M_∂·u‖) ≤ RESIDUAL_BOUND.
+
+    shifted and boundary_mass are functions that return the product of
+    K + M_∂ with one full vertex vector and of M_bb, rows and columns in
+    boundary_dofs order, with one boundary vector; vectors holds u as its
+    columns in the vertex order of shifted, and boundary_dofs gives the
+    rows of its boundary vertices.  The pairs are checked one column at a
+    time, so that no temporary is wider than one vector.
+    """
+    residuals = []
+    for lam, u in zip(eigenvalues, vectors.T):
+        mv = boundary_mass(u[boundary_dofs])  # M_∂·u, zero off the boundary
+        residual = shifted(u)
+        residual[boundary_dofs] -= mv * (1.0 + lam)
+        residuals.append(np.linalg.norm(residual) / ((1.0 + lam) * np.linalg.norm(mv)))
+    worst = float(np.max(residuals))
     if not worst <= RESIDUAL_BOUND:  # also catches NaN
         raise EigensolveError(f"eigenpair residual {worst:.3g} exceeds {RESIDUAL_BOUND:g}")
 

@@ -7,9 +7,10 @@ the finite-difference shape-gradient checks rely on.
 
 A `Mesh` is its ring-space array of (N_r+1) × N_θ vertices (ring 0 is the
 inner boundary); its vertex list, triangles and boundary loops are derived
-from it, and the edge vectors of every quad are slices and rolls of it
-(`_split_quads`).  The tangle check of `Mesh` and the cotangent weights of
-the assembly (`fem`) read the same edge vectors and cross products.
+from it, and the sides and diagonals of every quad are slices and rolls of
+it (`_quad_sides`).  The tangle check of `Mesh` and the cotangent weights
+of the assembly (`fem`) read the same edge vectors and cross products
+(`_twice_areas`), one (N_r, N_θ) scalar array at a time.
 
 Vertices are numbered θ-major with the periodic θ columns folded, so that
 K + M_∂ assembled on the mesh is a band matrix, which `linalg` factors as
@@ -21,18 +22,26 @@ whole matrix).  Every edge of the union stencil, in which every quad carries
 both diagonals, therefore joins vertices at most 2N_r + 3 numbers apart,
 the half-bandwidth of K + M_∂.  That graph contains the stiffness graph of
 every mesh of the resolution, and the boundary-mass couplings are quad
-edges.  `_corners` gives the mesh numbers of every vertex and quad corner
-in ring space; `_union_matrix` lays the ring-space entries of K + M_∂ out
-on them as a symmetric COO matrix, each position once, and the diagonal a
-quad does not take holds an explicit zero, inside the band.
+edges.
+
+K + M_∂ is held as its V + E ring-space entries on that stencil, one flat
+array: the diagonal, then the radial, ring, ac and bd edges
+(`_union_parts` gives their ring-space views), and M_bb as its diagonal
+and loop-edge entries.  `_union_product` and `_loop_product` apply them
+to a vector by their stencils, slices and rolls in ring space; the solve
+forms no sparse matrix.  For the tests and for callers that want one,
+`_union_matrix` lays the entries out on the mesh numbers of `_corners` as a
+symmetric COO matrix, each position once, the first V + E of them in the
+order they are held; the diagonal a quad does not take holds an explicit
+zero, inside the band.  `_loop_matrix` does the same for M_bb.
 
 The mirror θ ↦ −θ maps the θ grid onto itself for any N_θ.
 `Mesh.mirrored` tells whether the ring array is symmetric under it.
-`_folds` works out once per resolution where each entry `_union_matrix`
-and `_loop_matrix` lay out lands in a band of K + M_∂ and of M_bb, and
-with what sign, for `fem` to pack each band with one bincount: on the
-whole mesh in its own numbering, or on its even and its odd half, each
-numbered unfolded θ-major with half-bandwidth N_r + 2.
+`_folds` works out once per resolution where each held entry lands in a
+band of K + M_∂ and of M_bb, and with what sign, for `fem` to pack each
+band with one bincount: on the whole mesh in its own numbering, or on its
+even and its odd half, each numbered unfolded θ-major with half-bandwidth
+N_r + 2.
 """
 
 from __future__ import annotations
@@ -66,7 +75,8 @@ class Mesh:
 
     def __post_init__(self):
         self.ring.setflags(write=False)
-        cross = _split_quads(self.ring)[3]
+        use_ac, sides, _ = _quad_sides(self.ring)
+        cross = _twice_areas(use_ac, sides)
         if not np.all(cross > 0):
             i = np.unravel_index(np.argmin(cross), cross.shape)[-1]
             raise MeshingError("tangled mesh: nonpositive triangle area near "
@@ -118,7 +128,7 @@ class Mesh:
         """CCW and mesh-numbered, layer by layer: the first triangles of its
         quads ((a, b, c) or (a, b, d)), then the second ones ((a, c, d) or
         (b, c, d))."""
-        use_ac = _split_quads(self.ring)[0]
+        use_ac = _quad_sides(self.ring)[0]
         _, _, a, b, c, d = _corners(self.n_theta, self.n_radial)
         first = np.stack([a, b, np.where(use_ac, c, d)], axis=-1)
         second = np.stack([np.where(use_ac, a, b), c, d], axis=-1)
@@ -181,10 +191,10 @@ class _BandFold:
     of its fold QᵀAQ, and with what weight.
 
     The entries are the diagonal and each off-diagonal pair once, in the
-    layout `_union_matrix` or `_loop_matrix` stores them first; slot is
-    the flat position, j·kd + i, of the folded entry (i, j), i ≥ j, in a
-    C-ordered (n, kd+1) band, whose row j holds the entries (j, j),
-    (j+1, j), …, (j+kd, j), kd the largest i − j of a folded entry.
+    order they are held (module docstring); slot is the flat position,
+    j·kd + i, of the folded entry (i, j), i ≥ j, in a C-ordered (n, kd+1)
+    band, whose row j holds the entries (j, j), (j+1, j), …, (j+kd, j), kd
+    the largest i − j of a folded entry.
     weight is the product of the two ends' signs, doubled where both ends
     of a pair fold onto one vertex, whose diagonal then receives the pair's
     entry and its transpose.
@@ -210,12 +220,11 @@ class _BandFold:
         fold.weight.setflags(write=False)
         return fold
 
-    def pack(self, data):
-        """The folded lower band, given the data of a matrix in the layout
-        the fold was made for; the entries past the first of each pair,
-        which `_union_matrix` and `_loop_matrix` store last, are not read."""
+    def pack(self, entries):
+        """The folded lower band, given the held entries of a matrix in the
+        layout the fold was made for."""
         n, width = self.shape
-        return np.bincount(self.slot, weights=self.weight * data[:self.slot.size],
+        return np.bincount(self.slot, weights=self.weight * entries,
                            minlength=n * width).reshape(n, width)
 
 
@@ -292,28 +301,34 @@ def _folds(n_theta, n_radial, halves):
     return tuple(folds)
 
 
-def _split_quads(ring):
-    """Every quad of the ring-space vertices, split along its shorter diagonal.
+def _quad_sides(ring):
+    """The sides and the diagonal of every quad of the ring-space vertices.
 
     ring is (2, N_r+1, N_θ): x and y of vertex i of ring j.  Quad (j, i) has
     the CCW corners a = (j, i), b = (j+1, i), c = (j+1, i+1), d = (j, i+1)
-    and takes the diagonal ac where |ac|² ≤ |bd|², bd otherwise.  Returns
-    use_ac (N_r, N_θ); the quad's edge vectors (2, 4, N_r, N_θ), CCW from
-    the start of its diagonal, (ab, bc, cd, da) or (da, ab, bc, cd), so
-    that edges 0, 1 bound its first triangle and edges 2, 3 its second; its
-    diagonal (2, N_r, N_θ), edge 0 + edge 1; and the cross products
-    edge 0 × edge 1 and edge 2 × edge 3 (2, N_r, N_θ), twice the areas of
-    the two triangles.
+    and is split along its shorter diagonal, ac where |ac|² ≤ |bd|², bd
+    otherwise.  Returns use_ac (N_r, N_θ); the side vectors ab, bc, cd, da,
+    each (2, N_r, N_θ); and the diagonal it takes, ac or bd, which is
+    ab + bc or da + ab, the sum of the first two edges CCW from its start.
     """
     nxt = np.roll(ring, -1, axis=2)  # vertex i+1 of each ring
     a, b, c, d = ring[:, :-1], ring[:, 1:], nxt[:, 1:], nxt[:, :-1]
     ac, bd = c - a, b - d
     use_ac = np.sum(ac ** 2, axis=0) <= np.sum(bd ** 2, axis=0)
-    da = a - d
-    cycle = np.stack([da, b - a, c - b, d - c, da], axis=1)
-    edges = np.where(use_ac, cycle[:, 1:], cycle[:, :-1])
-    cross = edges[0, 0::2] * edges[1, 1::2] - edges[1, 0::2] * edges[0, 1::2]
-    return use_ac, edges, np.where(use_ac, ac, bd), cross
+    return use_ac, (b - a, c - b, d - c, a - d), np.where(use_ac, ac, bd)
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _twice_areas(use_ac, sides):
+    """Twice the areas of the two triangles of every quad, (2, N_r, N_θ):
+    the cross products of the first two and of the last two of its edges
+    CCW from the start of its diagonal, (ab, bc, cd, da) or (da, ab, bc, cd)."""
+    ab, bc, cd, da = sides
+    return np.stack([np.where(use_ac, _cross(ab, bc), _cross(da, ab)),
+                     np.where(use_ac, _cross(cd, da), _cross(bc, cd))])
 
 
 def _corners(n_theta, n_radial):
@@ -334,6 +349,16 @@ def _stencil(n_theta, n_radial):
     return number, (a, number, a, b), (b, nxt, c, d)
 
 
+def _union_parts(entries, n_theta, n_radial):
+    """The ring-space views vertex (N_r+1, N_θ), radial (N_r, N_θ), around
+    (N_r+1, N_θ), on_ac and on_bd (N_r, N_θ) of the flat array of the
+    V + E = (5N_r + 2)·N_θ entries of K + M_∂ on the union stencil, laid
+    out as `_union_matrix` lays out its first V + E entries."""
+    layers = n_radial + 1
+    ends = np.cumsum([layers, n_radial, layers, n_radial]) * n_theta
+    return tuple(part.reshape(-1, n_theta) for part in np.split(entries, ends))
+
+
 def _union_matrix(vertex, radial, around, on_ac, on_bd):
     """The mesh-numbered symmetric COO matrix on the union stencil with the
     given ring-space entries, each edge's in both of its places, int32
@@ -344,7 +369,8 @@ def _union_matrix(vertex, radial, around, on_ac, on_bd):
     on_ac and on_bd (N_r, N_θ) are the quad diagonals (j, i)–(j+1, i+1) and
     (j+1, i)–(j, i+1).  The diagonal comes first, then every edge (p, q) in
     `_stencil` order, then every (q, p): `_folds` reads the first
-    V + E entries.
+    V + E entries.  Built for the tests and on request only; the solve
+    applies the matrix by `_union_product`.
     """
     import scipy.sparse as sp
 
@@ -355,6 +381,24 @@ def _union_matrix(vertex, radial, around, on_ac, on_bd):
                          (np.concatenate([number, *p, *q], axis=None),
                           np.concatenate([number, *q, *p], axis=None))),
                         shape=(number.size, number.size))
+
+
+def _union_product(vertex, radial, around, on_ac, on_bd, u):
+    """The product of the matrix `_union_matrix` lays out from the same
+    entries with one vector u, by its ring stencil, where every edge
+    couples slices and rolls of u.  u and the product are in ring order,
+    flat: vertex i of ring j at j·N_θ + i, mesh number
+    `_numbering(N_θ, N_r)`[j, i]."""
+    x = u.reshape(vertex.shape)
+    nxt = np.roll(x, -1, axis=1)  # vertex i+1 of each ring
+    y = vertex * x + around * nxt
+    y[:-1] += radial * x[1:] + on_ac * nxt[1:]
+    y[1:] += radial * x[:-1] + on_bd * nxt[:-1]
+    back = around * x  # what each vertex gives vertex i+1 of its own or the next ring
+    back[:-1] += on_bd * x[1:]
+    back[1:] += on_ac * x[:-1]
+    y += np.roll(back, 1, axis=1)
+    return y.ravel()
 
 
 def _loop_stencil(n_theta):
@@ -368,7 +412,8 @@ def _loop_matrix(diagonal, edge):
     """The symmetric COO matrix over the boundary positions, inner loop
     (0 … N_θ−1) then outer loop, with diagonal (2, N_θ) and edge (2, N_θ)
     coupling θ column i of a loop to column i+1; laid out like
-    `_union_matrix`, the diagonal, every (i, i+1), then every (i+1, i)."""
+    `_union_matrix`, the diagonal, every (i, i+1), then every (i+1, i).
+    Built on request only; the solve applies it by `_loop_product`."""
     import scipy.sparse as sp
 
     n_theta = diagonal.shape[1]
@@ -377,3 +422,14 @@ def _loop_matrix(diagonal, edge):
                          (np.concatenate([position, position, nxt], axis=None),
                           np.concatenate([position, nxt, position], axis=None))),
                         shape=(2 * n_theta, 2 * n_theta))
+
+
+def _loop_product(diagonal, edge, w):
+    """The product of the matrix `_loop_matrix` lays out from the same
+    entries with one vector w over the boundary positions, by its loop
+    stencil."""
+    w = w.reshape(diagonal.shape)
+    product = diagonal * w
+    product += edge * np.roll(w, -1, axis=1)
+    product += np.roll(edge * w, 1, axis=1)
+    return product.ravel()

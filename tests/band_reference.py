@@ -4,7 +4,8 @@ maps the solve packs its bands by (`mesher._folds`).
 `pack_band` packs the lower band of any symmetric COO matrix, summing
 duplicates, in the layout `linalg.lowest_pairs` factors; `solve_pencil`
 solves a pencil given as triplets in any vertex numbering with it, as one
-block, through the same `lowest_pairs` and `check_residual` as the solve.
+block, through the same `lowest_pairs` and `check_residual` as the solve,
+applying both matrices to the residual check by their sparse products.
 """
 
 import numpy as np
@@ -44,5 +45,5 @@ def solve_pencil(shifted, boundary_mass, boundary_dofs, count):
                                        shape=mbb.shape))
     eigenvalues, vectors = lowest_pairs(pack_band(shifted), mass_band, boundary_dofs[order],
                                         min(count + 1, nb - 1), count)
-    check_residual(shifted, boundary_mass, boundary_dofs, eigenvalues, vectors)
+    check_residual(shifted.__matmul__, mbb.__matmul__, boundary_dofs, eigenvalues, vectors)
     return eigenvalues, vectors[boundary_dofs]

@@ -175,6 +175,32 @@ class TestAssembly:
         assert abs(k - k.T).max() == 0.0
         assert np.abs(k @ np.ones(k.shape[0])).max() <= 1e-13 * abs(k).max()
 
+    @pytest.mark.parametrize("n_theta, n_radial", [(64, 8), (65, 7)])
+    @pytest.mark.parametrize("name", ["graded", "cosine k=5"])
+    def test_ring_stencils_match_union_layout(self, name, n_theta, n_radial):
+        """The ring stencils by which the solve applies K + M_∂ and M_bb
+        give the products of the matrices `_union_matrix` and `_loop_matrix`
+        lay out from the same entries, to 1e-13 of the largest entry, on
+        three random columns: on an off-axis and a mirrored mesh, with even
+        and odd N_θ, which covers the wrap of the θ rolls."""
+        domain, grading = ORACLE_DOMAINS[name]
+        mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
+        assert mesh.mirrored == (name == "cosine k=5")
+        system = assemble(mesh)
+        rng = np.random.default_rng(5)
+        number = mesher._numbering(n_theta, n_radial).ravel()  # mesh number of each ring position
+        u = rng.standard_normal((number.size, 3))
+        w = rng.standard_normal((2 * n_theta, 3))
+        pairs = [(np.column_stack([mesher._union_product(*system.parts, column)
+                                   for column in u[number].T]),
+                  (mesher._union_matrix(*system.parts) @ u)[number]),
+                 (np.column_stack([mesher._loop_product(*system.mass_parts, column)
+                                   for column in w.T]),
+                  mesher._loop_matrix(*system.mass_parts) @ w)]
+        for product, reference in pairs:
+            np.testing.assert_allclose(product, reference, rtol=0.0,
+                                       atol=1e-13 * np.abs(reference).max())
+
     def test_boundary_dofs_order(self):
         mesh = build_annular_mesh(concentric(0.3), 32, 4)
         system = assemble(mesh)
@@ -350,9 +376,9 @@ class TestMirrorHalves:
             np.testing.assert_array_equal(fold.sign, sign)
             half_dofs, position = np.unique(label[system.boundary_dofs], return_inverse=True)
             np.testing.assert_array_equal(fold.boundary, half_dofs)
-            pairs = [(fold.stiffness.pack(system.shifted.data),
+            pairs = [(fold.stiffness.pack(system.entries),
                       generic_fold(system.shifted, label, sign, label.max() + 1)),
-                     (fold.mass.pack(system.boundary_mass.data),
+                     (fold.mass.pack(system.mass_entries),
                       generic_fold(system.boundary_mass, position,
                                    sign[system.boundary_dofs], len(half_dofs)))]
             for band, reference in pairs:
@@ -376,9 +402,9 @@ class TestMirrorHalves:
         np.testing.assert_array_equal(whole.sign, np.ones(n))
         np.testing.assert_array_equal(whole.boundary, np.sort(dofs))
         rank = np.argsort(np.argsort(dofs))
-        pairs = [(whole.stiffness.pack(whole_system.shifted.data),
+        pairs = [(whole.stiffness.pack(whole_system.entries),
                   generic_fold(whole_system.shifted, np.arange(n), np.ones(n), n)),
-                 (whole.mass.pack(whole_system.boundary_mass.data),
+                 (whole.mass.pack(whole_system.mass_entries),
                   generic_fold(whole_system.boundary_mass, rank, np.ones(len(dofs)), len(dofs)))]
         for band, reference in pairs:
             np.testing.assert_array_equal(band, reference)
@@ -505,3 +531,18 @@ class TestMirrorHalves:
         monkeypatch.setattr(fem, "lowest_pairs", perturbed)
         with pytest.raises(EigensolveError, match="residual"):
             solve_domain(concentric(0.3), 32, 4, count=3)
+
+    def test_one_block_pairs_are_checked_on_the_full_pencil(self, monkeypatch):
+        """So are the pairs of the one block a mesh with no mirror is
+        solved in: eigenvalues off by 1e-6 fail the residual bound."""
+        real_pairs = fem.lowest_pairs
+
+        def perturbed(*args):
+            lams, vectors = real_pairs(*args)
+            return lams * (1.0 + 1e-6), vectors
+
+        off_axis, _ = ORACLE_DOMAINS["eccentric"]
+        assert not build_annular_mesh(off_axis, 32, 4).mirrored
+        monkeypatch.setattr(fem, "lowest_pairs", perturbed)
+        with pytest.raises(EigensolveError, match="residual"):
+            solve_domain(off_axis, 32, 4, count=3)

@@ -37,12 +37,10 @@ def eigs(system, count):
     return fem._solve_folds(system, count, halves=False)
 
 
-def with_shifted_data(system, data):
-    """The system with the entries of K + M_∂ replaced by data, in the
-    assembled layout."""
-    k = system.shifted
-    return dataclasses.replace(system, shifted=sp.coo_array((data, (k.row, k.col)),
-                                                            shape=k.shape))
+def with_entries(system, data):
+    """The system with the ring-space entries of K + M_∂ replaced by data,
+    in the assembled layout."""
+    return dataclasses.replace(system, entries=data)
 
 
 def relabel(system, label):
@@ -280,10 +278,10 @@ class TestEliminationOrder:
                                          str(shifted.col.tolist())]
 
     def test_assembled_matrix_is_the_union_stencil(self, eccentric):
-        """The K + M_∂ a solve factors is a symmetric COO matrix with int32
-        indices holding each (row, col) of the union stencil once: one entry
-        per vertex and two per ring edge, radial edge and quad diagonal (both
-        diagonals of every quad)."""
+        """The K + M_∂ laid out from the assembled entries is a symmetric COO
+        matrix with int32 indices holding each (row, col) of the union
+        stencil once: one entry per vertex and two per ring edge, radial
+        edge and quad diagonal (both diagonals of every quad)."""
         shifted = eccentric.shifted
         assert shifted.format == "coo"
         assert shifted.row.dtype == shifted.col.dtype == np.int32
@@ -356,9 +354,11 @@ class TestEliminationOrder:
 
     def test_solve_domain_memory(self):
         """The tracemalloc peak of one 256×24 solve_domain, mesh, assembly
-        and solve, stays below 2.25× the bytes of the band array (about
-        1.8×): the assembled matrix and the band are the only arrays of
-        that order, and a second copy of the band would pass the bound."""
+        and solve, stays below 1.5× the bytes of the band array (1.34× with
+        the fold map built, 1.43× building it): the band is the only array
+        of that order, and no matrix of K + M_∂ is built beside it.  With
+        the assembled COO matrix, as the solve built it before, the peak
+        was 1.58× and 1.67×."""
         band_bytes = 256 * 25 * (2 * 24 + 3 + 1) * 8
         tracemalloc.start()
         try:
@@ -366,15 +366,15 @@ class TestEliminationOrder:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * band_bytes
+        assert peak < 1.5 * band_bytes
 
     def test_half_route_memory(self):
         """The tracemalloc peak of a warm concentric 256×24 solve_domain,
-        which solves the mesh as its two mirror halves, stays below the
-        bytes of one full-width band (about 0.92×): each half's band is
-        packed straight from the assembled entries by the resolution's
-        fold map, built by the first solve, and freed before the next half
-        is packed."""
+        which solves the mesh as its two mirror halves, stays below 0.8×
+        the bytes of one full-width band (0.68× measured, 0.93× with the
+        assembled COO matrix): each half's band is packed straight from the
+        assembled entries by the resolution's fold map, built by the first
+        solve, and freed before the next half is packed."""
         band_bytes = 256 * 25 * (2 * 24 + 3 + 1) * 8
         solve_domain(annulus(0.3), 256, 24, count=3)
         tracemalloc.start()
@@ -383,7 +383,42 @@ class TestEliminationOrder:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < band_bytes
+        assert peak < 0.8 * band_bytes
+
+    def test_half_route_memory_at_512(self):
+        """At 512×48 the tracemalloc peak of a warm concentric solve_domain
+        stays below two bands of its even half (1.85 measured, 2.34 with
+        the assembled COO matrix): one half band, the two temporaries of
+        its packing, and mesh and assembly transients that stay below
+        them."""
+        half_band_bytes = 257 * 49 * (48 + 3) * 8
+        solve_domain(annulus(0.3), 512, 48, count=3)
+        tracemalloc.start()
+        try:
+            solve_domain(annulus(0.3), 512, 48, count=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * half_band_bytes
+
+    def test_solve_builds_no_sparse_matrix(self, monkeypatch):
+        """Neither route builds a scipy.sparse matrix: with coo_array,
+        `mesher._union_matrix` and `mesher._loop_matrix` refusing to run, a
+        mirrored and an off-axis mesh still solve, and to the same
+        eigenvalues."""
+        domains = (annulus(0.3), annulus(0.3, center=(0.25, 0.1)))
+        expected = [solve_domain(domain, 64, 8, count=3).eigenvalues for domain in domains]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve built a sparse matrix")
+
+        monkeypatch.setattr(sp, "coo_array", refuse)
+        for module in (mesher, fem):
+            monkeypatch.setattr(module, "_union_matrix", refuse)
+            monkeypatch.setattr(module, "_loop_matrix", refuse)
+        assert [build_annular_mesh(domain, 64, 8).mirrored for domain in domains] == [True, False]
+        for domain, lams in zip(domains, expected):
+            np.testing.assert_array_equal(solve_domain(domain, 64, 8, count=3).eigenvalues, lams)
 
 
 class TestSolverFailure:
@@ -397,24 +432,25 @@ class TestSolverFailure:
     def test_indefinite_matrix_raises(self, eccentric):
         """A negative diagonal entry makes K + M_∂ indefinite: dpbtrf
         meets a nonpositive pivot."""
-        data = eccentric.shifted.data.copy()
+        data = eccentric.entries.copy()
         data[5] = -1.0  # the diagonal comes first in the assembled layout
         with pytest.raises(EigensolveError, match="Cholesky"):
-            eigs(with_shifted_data(eccentric, data), 3)
+            eigs(with_entries(eccentric, data), 3)
 
     def test_nan_entry_raises(self, eccentric):
         """A NaN coupling does not stop dpbtrf, whose pivot test NaN
         passes, but it reaches the diagonal of the factor."""
         shifted = eccentric.shifted
-        data = shifted.data.copy()
+        data = eccentric.entries.copy()
         # the first entry past the diagonal is the radial edge from vertex 0
-        # to vertex 1; its transpose is the first of the second copies
+        # to vertex 1; the matrix laid out from the entries holds it there
+        # and its transpose as the first of the second copies
         first = len(eccentric.mesh.vertices)
-        edge = (first, first + (len(data) - first) // 2)
+        edge = (first, first + (shifted.nnz - first) // 2)
         assert {(shifted.row[i], shifted.col[i]) for i in edge} == {(0, 1), (1, 0)}
-        data[list(edge)] = np.nan
+        data[first] = np.nan
         with pytest.raises(EigensolveError, match="Cholesky"):
-            eigs(with_shifted_data(eccentric, data), 3)
+            eigs(with_entries(eccentric, data), 3)
 
     def test_no_convergence_raises(self, eccentric, monkeypatch):
         def no_convergence(*args, **kwargs):
