@@ -9,7 +9,7 @@ boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values are
 written once into one flat array of ring-space entries on the union
 stencil (`mesher._union_parts`), and the boundary mass M_bb into one of
 its loop entries; no sparse matrix is formed on the way to the
-eigenvalues.  The mesh's folded θ-major numbering keeps every entry within
+eigenvalues.  Folded θ-major (`mesher._folds`), every entry lies within
 2N_r + 3 of the diagonal, so K + M_∂ packs straight into a band.  Where
 every held entry lands in a band of K + M_∂ and of M_bb, and with what
 sign, depends on the resolution alone, so `mesher._folds` works it out
@@ -17,8 +17,8 @@ once per resolution and a solve packs each band with one bincount over the
 entries (`_solve_folds`).  A mesh that is its own mirror image under
 y ↦ −y, as the mesh of every table row is, is solved as two half pencils,
 one on even and one on odd vectors, each with a K + M_∂ band N_r + 2 wide
-and an M_bb band 2 wide; any other mesh is solved in one block, in its own
-numbering.  The spectrum comes from a standard-form Lanczos iteration on
+and an M_bb band 2 wide; any other mesh is solved in one block, in the
+folded order.  The spectrum comes from a standard-form Lanczos iteration on
 the boundary traces (see `linalg`); only the traces are kept.  Every pair
 is checked against the full pencil, K + M_∂ and M_bb applied by their
 ring stencils (`mesher._union_product`, `mesher._loop_product`).  The COO
@@ -36,9 +36,8 @@ import numpy as np
 
 from .geometry import AnnularDomain
 from .linalg import check_residual, lowest_pairs
-from .mesher import (Mesh, _folds, _loop_matrix, _loop_product, _numbering, _quad_sides,
-                     _twice_areas, _union_matrix, _union_parts, _union_product,
-                     build_annular_mesh)
+from .mesher import (Mesh, _folds, _loop_matrix, _loop_product, _quad_sides, _twice_areas,
+                     _union_matrix, _union_parts, _union_product, build_annular_mesh)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -58,8 +57,12 @@ class AssembledSystem:
 
     entries: np.ndarray
     mass_entries: np.ndarray
-    boundary_dofs: np.ndarray           # vertex indices, inner loop then outer loop
     mesh: Mesh
+
+    @property
+    def boundary_dofs(self):
+        """The boundary vertices, inner loop then outer loop."""
+        return self.mesh.boundary_vertices
 
     @property
     def parts(self):
@@ -107,20 +110,23 @@ class SteklovSpectrum:
 
     eigenvalues: np.ndarray
     boundary_vectors: np.ndarray
-    boundary_dofs: np.ndarray
     mesh: Mesh
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
         self.boundary_vectors.setflags(write=False)
 
+    @property
+    def boundary_dofs(self):
+        """The boundary vertices, inner loop then outer loop."""
+        return self.mesh.boundary_vertices
+
 
 def assemble(mesh: Mesh) -> AssembledSystem:
     """K + M_∂ over all vertices plus the boundary mass over boundary dofs,
     both from the mesh's ring array alone, as their ring-space entries."""
     return AssembledSystem(entries=_assemble(mesh, with_boundary=True),
-                           mass_entries=_loop_entries(mesh),
-                           boundary_dofs=mesh.boundary_vertices, mesh=mesh)
+                           mass_entries=_loop_entries(mesh), mesh=mesh)
 
 
 def _assemble(mesh, with_boundary):
@@ -210,8 +216,7 @@ def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
     first = outer[np.argmax(outer != 0.0, axis=0), np.arange(count)]
     vectors = vectors * np.where(first < 0.0, -1.0, 1.0)
 
-    return SteklovSpectrum(eigenvalues=eigenvalues, boundary_vectors=vectors,
-                           boundary_dofs=system.boundary_dofs, mesh=mesh)
+    return SteklovSpectrum(eigenvalues=eigenvalues, boundary_vectors=vectors, mesh=mesh)
 
 
 def _solve_folds(system, count, halves):
@@ -223,27 +228,26 @@ def _solve_folds(system, count, halves):
     With Q the injection of a fold into all vertices, its pencil is
     Qᵀ(K + M_∂)Q against QᵀM_∂Q; each band is packed by one bincount over
     the held entries and factored in place by `lowest_pairs` before the
-    next fold is packed.  The whole mesh, Q the identity, is asked for
-    count + 1 pairs (at most n_b − 1, ARPACK's limit): Lanczos finds the
-    second copy of a double eigenvalue only through round-off and locking,
-    and asked for exactly `count` pairs it can return the next eigenvalue
-    in its place.  The mirror y ↦ −y commutes with K + M_∂ and M_∂, so a
-    mirrored mesh's spectrum is the union of those of its even and odd
-    half, where Q is 1 on θ column i and its mirror −i, negated past θ = π
-    in the odd half, and a double eigenvalue with an even and an odd
-    eigenvector splits into one simple eigenvalue per half.  The constant
+    next fold is packed.  The whole mesh, Q the permutation into the folded
+    θ-major order, is asked for count + 1 pairs (at most n_b − 1, ARPACK's
+    limit): Lanczos finds the second copy of a double eigenvalue only
+    through round-off and locking, and asked for exactly `count` pairs it
+    can return the next eigenvalue in its place.  The mirror y ↦ −y
+    commutes with K + M_∂ and M_∂, so a mirrored mesh's spectrum is the
+    union of those of its even and odd half, where Q is 1 on θ column i
+    and its mirror −i, negated past θ = π in the odd half, and a double
+    eigenvalue with an even and an odd eigenvector splits into one simple
+    eigenvalue per half.  The constant
     is even, so the `count` smallest pairs are among the `count` smallest
     even ones and the `count − 1` smallest odd ones.  The fold vectors are
-    unfolded, u = Q·u_fold, in ring order and checked against the full
+    unfolded, u = Q·u_fold, by vertex number, and checked against the full
     pencil, applied by its ring stencils.
     """
-    mesh = system.mesh
-    nb = len(system.boundary_dofs)
+    mesh, dofs = system.mesh, system.boundary_dofs
+    nb = len(dofs)
     if not 1 <= count < nb:
         raise ValueError(f"count must be in [1, {nb - 1}], got {count}")
     plan = (count, count - 1) if halves else (min(count + 1, nb - 1),)
-    # in ring order the boundary loops are the first and the last ring
-    number = _numbering(mesh.n_theta, mesh.n_radial).ravel()
     eigenvalues, vectors = [], []
     for fold, computed in zip(_folds(mesh.n_theta, mesh.n_radial, halves), plan):
         if computed == 0:
@@ -252,15 +256,14 @@ def _solve_folds(system, count, halves):
                                           fold.mass.pack(system.mass_entries),
                                           fold.boundary, computed, min(computed, count))
         eigenvalues.append(lams)
-        vectors.append(fold.sign[number, None] * fold_vectors[fold.label[number]])
+        vectors.append(fold.sign[:, None] * fold_vectors[fold.label])
     eigenvalues, vectors = np.concatenate(eigenvalues), np.hstack(vectors)
     lowest = np.argsort(eigenvalues, kind="stable")[:count]
     eigenvalues, vectors = eigenvalues[lowest], vectors[:, lowest]
-    loops = np.r_[:mesh.n_theta, number.size - mesh.n_theta:number.size]
     check_residual(functools.partial(_union_product, *system.parts),
                    functools.partial(_loop_product, *system.mass_parts),
-                   loops, eigenvalues, vectors)
-    return eigenvalues, vectors[loops]
+                   dofs, eigenvalues, vectors)
+    return eigenvalues, vectors[dofs]
 
 
 def solve_domain(domain: AnnularDomain, n_theta: int, n_radial: int,

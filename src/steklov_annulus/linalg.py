@@ -17,13 +17,12 @@ onto the boundary, and one product with Lᵀ, with no M_bb product and one
 call back into Python.  No dense operator is formed.
 Both matrices are factored as band matrices by LAPACK's band Cholesky
 (dpbtrf), in place: K + M_∂ in the vertex order it is given, M_bb with its
-boundary vertices in ascending vertex order, in which the meshes' own
-numbering puts the two ends of every loop edge at most two boundary
-positions apart on a mirror half and four in one block.  dpbtrs applies
-the factor of K + M_∂ and BLAS's dtbmv the band L.  The annular meshes
-number their vertices so that the band of K + M_∂ is 2N_r + 3 wide
-(`mesher`), and the mirror halves `fem` folds from them N_r + 2; this
-module makes no ordering choice itself.
+boundary vertices in ascending order, in which the folds `fem` packs put
+the two ends of every loop edge at most two boundary positions apart on a
+mirror half and four in one block.  dpbtrs applies the factor of K + M_∂
+and BLAS's dtbmv the band L.  `mesher._folds` orders the vertices so that
+the band of K + M_∂ is 2N_r + 3 wide on the whole mesh and N_r + 2 on a
+mirror half; this module makes no ordering choice itself.
 One more block solve lifts the converged traces to full vertex vectors
 u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w, with M_bb·w = L·y, on which every pair is
 checked against RESIDUAL_BOUND: K·u − λ·M_∂·u, computed as

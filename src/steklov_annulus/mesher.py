@@ -12,17 +12,13 @@ it (`_quad_sides`).  The tangle check of `Mesh` and the cotangent weights
 of the assembly (`fem`) read the same edge vectors and cross products
 (`_twice_areas`), one (N_r, N_θ) scalar array at a time.
 
-Vertices are numbered θ-major with the periodic θ columns folded, so that
-K + M_∂ assembled on the mesh is a band matrix, which `linalg` factors as
-it is.  Vertex i of ring j is slot(i)·(N_r+1) + j, with slot(i) = 2i for
-i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise: the θ columns are laid out
-0, N_θ−1, 1, N_θ−2, …, so columns adjacent in θ, the wrap from N_θ−1 to 0
-included, sit at most two slots apart (unfolded, the wrap would span the
-whole matrix).  Every edge of the union stencil, in which every quad carries
-both diagonals, therefore joins vertices at most 2N_r + 3 numbers apart,
-the half-bandwidth of K + M_∂.  That graph contains the stiffness graph of
-every mesh of the resolution, and the boundary-mass couplings are quad
-edges.
+Vertex i of ring j is numbered j·N_θ + i, its position in the ring array,
+so the vertex list is a view of it and the boundary loops are its first
+and last ring.  The band order in which `linalg` factors K + M_∂ is not
+this numbering but a fold of it (`_folds`), the one place that order is
+written.  The union stencil, in which every quad carries both diagonals,
+contains the stiffness graph of every mesh of the resolution, and the
+boundary-mass couplings are quad edges.
 
 K + M_∂ is held as its V + E ring-space entries on that stencil, one flat
 array: the diagonal, then the radial, ring, ac and bd edges
@@ -30,7 +26,7 @@ array: the diagonal, then the radial, ring, ac and bd edges
 and loop-edge entries.  `_union_product` and `_loop_product` apply them
 to a vector by their stencils, slices and rolls in ring space; the solve
 forms no sparse matrix.  For the tests and for callers that want one,
-`_union_matrix` lays the entries out on the mesh numbers of `_corners` as a
+`_union_matrix` lays the entries out on the vertex numbers as a
 symmetric COO matrix, each position once, the first V + E of them in the
 order they are held; the diagonal a quad does not take holds an explicit
 zero, inside the band.  `_loop_matrix` does the same for M_bb.
@@ -39,9 +35,9 @@ The mirror θ ↦ −θ maps the θ grid onto itself for any N_θ.
 `Mesh.mirrored` tells whether the ring array is symmetric under it.
 `_folds` works out once per resolution where each held entry lands in a
 band of K + M_∂ and of M_bb, and with what sign, for `fem` to pack each
-band with one bincount: on the whole mesh in its own numbering, or on its
-even and its odd half, each numbered unfolded θ-major with half-bandwidth
-N_r + 2.
+band with one bincount: on the whole mesh in folded θ-major order with
+half-bandwidth 2N_r + 3, or on its even and its odd half, each numbered
+unfolded θ-major with half-bandwidth N_r + 2.
 """
 
 from __future__ import annotations
@@ -64,11 +60,12 @@ class Mesh:
 
     ring: (2, N_r+1, N_θ) float array, read-only: x and y of vertex i of
     ring j at θ_i = 2πi/N_θ; ring 0 is the inner boundary.  The rest is
-    derived from it: vertices (V, 2) in the folded θ-major numbering
-    (module docstring), CCW triangles (T, 3), each quad split along its
-    shorter diagonal, and inner_loop / outer_loop, the vertex numbers of
-    the boundary rings by increasing θ.  Raises MeshingError, naming the
-    offending θ, if a triangle has nonpositive area (the blend tangles).
+    derived from it, vertex i of ring j numbered j·N_θ + i: vertices
+    (V, 2), a read-only view of ring, CCW triangles (T, 3), each quad split
+    along its shorter diagonal, and inner_loop / outer_loop, the vertex
+    numbers of the boundary rings by increasing θ.  Raises MeshingError,
+    naming the offending θ, if a triangle has nonpositive area (the blend
+    tangles).
     """
 
     ring: np.ndarray
@@ -105,11 +102,11 @@ class Mesh:
 
     @property
     def inner_loop(self):
-        return _numbering(self.n_theta, self.n_radial)[0]
+        return np.arange(self.n_theta)
 
     @property
     def outer_loop(self):
-        return _numbering(self.n_theta, self.n_radial)[-1]
+        return self.n_radial * self.n_theta + np.arange(self.n_theta)
 
     @property
     def boundary_vertices(self):
@@ -117,11 +114,7 @@ class Mesh:
 
     @property
     def vertices(self):
-        number = _numbering(self.n_theta, self.n_radial)
-        vertices = np.empty((number.size, 2))
-        for k in (0, 1):  # one coordinate at a time scatters contiguous data
-            vertices[number, k] = self.ring[k]
-        return vertices
+        return self.ring.reshape(2, -1).T
 
     @property
     def triangles(self):
@@ -154,8 +147,8 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
                        grading: float = 1.0) -> Mesh:
     """Transfinite mesh with N_θ angular divisions and N_r radial layers.
 
-    Each quad is split along its shorter diagonal, and the vertices are
-    numbered in folded θ-major order.  Raises MeshingError for a grading
+    Each quad is split along its shorter diagonal, and vertex i of ring j
+    is numbered j·N_θ + i.  Raises MeshingError for a grading
     that is not finite and positive and, naming the offending θ, if the
     blend tangles (nonpositive triangle area).
     """
@@ -175,14 +168,6 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
     # y are laid out apart, so every slice of a ring is contiguous
     inner_xy, outer_xy = np.ascontiguousarray(inner_pts.T), np.ascontiguousarray(outer_pts.T)
     return Mesh((1.0 - s) * inner_xy[:, None, :] + s * outer_xy[:, None, :])
-
-
-def _numbering(n_theta, n_radial):
-    """Mesh number of every ring vertex, (N_r+1, N_θ) int32: vertex i of
-    ring j is slot(i)·(N_r+1) + j (module docstring)."""
-    i = np.arange(n_theta, dtype=np.int32)
-    slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
-    return (n_radial + 1) * slot + np.arange(n_radial + 1, dtype=np.int32)[:, None]
 
 
 @dataclass(frozen=True)
@@ -253,12 +238,19 @@ def _folds(n_theta, n_radial, halves):
     built once per resolution and route and read-only; the last eight stay
     cached, a refinement ladder on both routes.
 
-    Without halves, the whole mesh in its own numbering: label the mesh
-    number, sign 1, M_bb numbered by the rank of each boundary vertex.
-    With halves, the even and the odd half of the mirror θ ↦ −θ: θ column
-    i folds onto half column h = min(i, N_θ − i), and a half numbers its
-    columns unfolded θ-major, vertex (j, h) at (h − h₀)·(N_r+1) + j, so
-    that every stencil edge spans at most N_r + 2 numbers.  The even half
+    Without halves, the whole mesh in folded θ-major order, sign 1: vertex
+    (j, i) lands on slot(i)·(N_r+1) + j, with slot(i) = 2i for
+    i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise.  The θ columns are laid out
+    0, N_θ−1, 1, N_θ−2, …, so columns adjacent in θ, the wrap from N_θ−1
+    to 0 included, sit at most two slots apart (in the mesh's own order
+    the wrap spans a whole ring), and every edge of the union stencil
+    joins vertices at most 2N_r + 3 numbers apart, the half-bandwidth of
+    K + M_∂; M_bb is numbered by the rank of each boundary vertex's fold
+    number.  With halves, the even and the odd half of the mirror θ ↦ −θ:
+    θ column i folds onto half column h = min(i, N_θ − i), and a half
+    numbers its columns unfolded θ-major, vertex (j, h) at
+    (h − h₀)·(N_r+1) + j, so that every stencil edge spans at most N_r + 2
+    numbers.  The even half
     keeps h = 0 … ⌊N_θ/2⌋ with sign +1.  The odd half keeps
     h = 1 … ⌈N_θ/2⌉ − 1 with sign −1 past θ = π; an odd vector vanishes on
     the cut columns, θ = 0 and, for even N_θ, θ = π, which get the sign 0
@@ -269,28 +261,25 @@ def _folds(n_theta, n_radial, halves):
     """
     layers = n_radial + 1
     number, p, q = _stencil(n_theta, n_radial)
-    slots = np.arange(n_theta, dtype=np.int32)
+    i = np.arange(n_theta, dtype=np.int32)
     if halves:
-        # the θ column in each slot of the folded numbering: mesh number
-        # slot·(N_r+1) + j is vertex (j, column[slot])
-        column = np.empty_like(slots)
-        column[number[0] // layers] = slots
-        h = np.minimum(column, n_theta - column)
-        odd_sign = np.where((column == 0) | (2 * column == n_theta), 0.0,
-                            np.where(2 * column > n_theta, -1.0, 1.0))
-        by_slot = ((h, np.ones(n_theta)), (np.clip(h, 1, (n_theta - 1) // 2) - 1, odd_sign))
+        h = np.minimum(i, n_theta - i)
+        odd_sign = np.where((i == 0) | (2 * i == n_theta), 0.0,
+                            np.where(2 * i > n_theta, -1.0, 1.0))
+        by_column = ((h, np.ones(n_theta)), (np.clip(h, 1, (n_theta - 1) // 2) - 1, odd_sign))
     else:
-        by_slot = ((slots, np.ones(n_theta)),)
+        slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
+        by_column = ((slot, np.ones(n_theta)),)
     ends = (np.concatenate([number, *p], axis=None), np.concatenate([number, *q], axis=None))
     loops = number[[0, -1]].ravel()  # the boundary vertices, inner loop then outer loop
     position, nxt = _loop_stencil(n_theta)
     loop_ends = (np.concatenate([position, position], axis=None),
                  np.concatenate([position, nxt], axis=None))
     folds = []
-    for fold_column, column_sign in by_slot:
-        # mesh number slot·(N_r+1) + j lands on fold number fold_column[slot]·(N_r+1) + j
-        label = (fold_column[:, None] * layers + np.arange(layers, dtype=np.int32)).ravel()
-        sign = np.repeat(column_sign, layers)
+    for fold_column, column_sign in by_column:
+        # vertex (j, i) lands on fold number fold_column[i]·(N_r+1) + j
+        label = (fold_column * layers + np.arange(layers, dtype=np.int32)[:, None]).ravel()
+        sign = np.tile(column_sign, layers)
         # the fold's boundary vertices, and where each boundary position lands among them
         boundary, on_boundary = np.unique(label[loops], return_inverse=True)
         for array in (label, sign, boundary):
@@ -332,11 +321,11 @@ def _twice_areas(use_ac, sides):
 
 
 def _corners(n_theta, n_radial):
-    """Mesh numbers in ring space: every vertex (N_r+1, N_θ), its
+    """Vertex numbers j·N_θ + i in ring space: every vertex (N_r+1, N_θ), its
     θ-successor, vertex i+1 of its ring, and the CCW corners a = (j, i),
     b = (j+1, i), c = (j+1, i+1), d = (j, i+1) of every quad (N_r, N_θ),
     ring 0 the inner boundary."""
-    vertex = _numbering(n_theta, n_radial)
+    vertex = np.arange((n_radial + 1) * n_theta, dtype=np.int32).reshape(-1, n_theta)
     nxt = np.roll(vertex, -1, axis=1)
     return vertex, nxt, vertex[:-1], vertex[1:], nxt[1:], nxt[:-1]
 
@@ -386,9 +375,8 @@ def _union_matrix(vertex, radial, around, on_ac, on_bd):
 def _union_product(vertex, radial, around, on_ac, on_bd, u):
     """The product of the matrix `_union_matrix` lays out from the same
     entries with one vector u, by its ring stencil, where every edge
-    couples slices and rolls of u.  u and the product are in ring order,
-    flat: vertex i of ring j at j·N_θ + i, mesh number
-    `_numbering(N_θ, N_r)`[j, i]."""
+    couples slices and rolls of u.  u and the product are flat, by vertex
+    number: vertex i of ring j at j·N_θ + i."""
     x = u.reshape(vertex.shape)
     nxt = np.roll(x, -1, axis=1)  # vertex i+1 of each ring
     y = vertex * x + around * nxt

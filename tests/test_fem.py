@@ -188,12 +188,11 @@ class TestAssembly:
         assert mesh.mirrored == (name == "cosine k=5")
         system = assemble(mesh)
         rng = np.random.default_rng(5)
-        number = mesher._numbering(n_theta, n_radial).ravel()  # mesh number of each ring position
-        u = rng.standard_normal((number.size, 3))
+        u = rng.standard_normal((len(mesh.vertices), 3))
         w = rng.standard_normal((2 * n_theta, 3))
         pairs = [(np.column_stack([mesher._union_product(*system.parts, column)
-                                   for column in u[number].T]),
-                  (mesher._union_matrix(*system.parts) @ u)[number]),
+                                   for column in u.T]),
+                  mesher._union_matrix(*system.parts) @ u),
                  (np.column_stack([mesher._loop_product(*system.mass_parts, column)
                                    for column in w.T]),
                   mesher._loop_matrix(*system.mass_parts) @ w)]
@@ -291,10 +290,10 @@ class TestMetamorphic:
         """A translation row and its mirror row have the same λ₁: (d, 0) and
         (−d, 0) on the x-axis tables, (−d, d) and (d, −d) on the diagonal ones.
         The two meshes are congruent, but mirrored vertices get different
-        numbers in the folded θ-major order the mesher numbers them by,
-        which has no mirror symmetry (θ_i mirrors to θ_{N_θ−i}, the fold
-        pairs it with θ_{N_θ−1−i}); so this also shows that the order does
-        not bias the eigenvalues.
+        numbers, and a diagonal hole is solved in one block, in the folded
+        θ-major band order of `mesher._folds`, which has no mirror symmetry
+        (θ_i mirrors to θ_{N_θ−i}, the fold pairs it with θ_{N_θ−1−i}); so
+        this also shows that the order does not bias the eigenvalues.
         `run_translation_table` solves only d ≤ 0 and relies on this at every
         offset."""
         eps, direction = TRANSLATION_TABLES[table]
@@ -316,25 +315,31 @@ def mirror_positions(n_theta):
 
 
 def reference_halves(n_theta, n_radial):
-    """Half number and sign of every mesh vertex, even half then odd half,
-    from their definition in ring space: θ column i goes to half column
+    """Half number and sign of every mesh vertex, by its number j·N_θ + i,
+    even half then odd half, from their definition in ring space: θ column i goes to half column
     min(i, N_θ − i), numbered from h₀ = 0 (even) or 1 (odd), (h − h₀)·(N_r+1)
     + j; the odd half negates past θ = π and gives the cut columns θ = 0
     and π the sign 0 and the number of the column beside them."""
     i = np.arange(n_theta)
     h = np.minimum(i, n_theta - i)
     cut = (i == 0) | (2 * i == n_theta)
-    number = mesher._numbering(n_theta, n_radial)
     ring = np.arange(n_radial + 1)[:, None]
     halves = []
     for column, sign in ((h, np.ones(n_theta)),
                          (np.clip(h, 1, (n_theta - 1) // 2) - 1,
                           np.where(cut, 0.0, np.where(2 * i > n_theta, -1.0, 1.0)))):
-        label, signs = np.empty(number.size, dtype=int), np.empty(number.size)
-        label[number] = column * (n_radial + 1) + ring
-        signs[number] = np.broadcast_to(sign, number.shape)
-        halves.append((label, signs))
+        halves.append(((column * (n_radial + 1) + ring).ravel(),
+                       np.broadcast_to(sign, (n_radial + 1, n_theta)).ravel()))
     return halves
+
+
+def reference_whole(n_theta, n_radial):
+    """Number of every mesh vertex in the folded θ-major order of the whole
+    fold: θ column i in slot 2i for i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise,
+    vertex (j, i) at slot·(N_r+1) + j."""
+    i = np.arange(n_theta)
+    slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
+    return (slot * (n_radial + 1) + np.arange(n_radial + 1)[:, None]).ravel()
 
 
 def assert_read_only(fold):
@@ -362,10 +367,11 @@ class TestMirrorHalves:
         N_θ, where each band entry sums at most two terms, and to 2 ulps of
         the largest entry for odd N_θ, where the ring edges across θ = π
         fold onto the diagonal with weight 2 and are summed in another
-        order.  The whole fold of an off-axis hole, Q the identity, equals
-        the generic packing bit for bit, each band slot receiving one
-        entry; its bands are (V, 2N_r + 4) and (2N_θ, 5).  Every map is
-        read-only and built once per resolution and route."""
+        order.  The whole fold of an off-axis hole, Q the permutation into
+        the folded θ-major order, equals the generic packing bit for bit,
+        each band slot receiving one entry; its bands are (V, 2N_r + 4) and
+        (2N_θ, 5).  Every map is read-only and built once per resolution
+        and route."""
         domain, grading = ORACLE_DOMAINS["cosine k=5"]
         mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
         assert mesh.mirrored
@@ -398,12 +404,13 @@ class TestMirrorHalves:
         whole_system = assemble(off_axis)
         (whole,) = mesher._folds(n_theta, n_radial, False)
         n, dofs = len(off_axis.vertices), whole_system.boundary_dofs
-        np.testing.assert_array_equal(whole.label, np.arange(n))
+        label = reference_whole(n_theta, n_radial)
+        np.testing.assert_array_equal(whole.label, label)
         np.testing.assert_array_equal(whole.sign, np.ones(n))
-        np.testing.assert_array_equal(whole.boundary, np.sort(dofs))
-        rank = np.argsort(np.argsort(dofs))
+        np.testing.assert_array_equal(whole.boundary, np.sort(label[dofs]))
+        rank = np.argsort(np.argsort(label[dofs]))
         pairs = [(whole.stiffness.pack(whole_system.entries),
-                  generic_fold(whole_system.shifted, np.arange(n), np.ones(n), n)),
+                  generic_fold(whole_system.shifted, label, np.ones(n), n)),
                  (whole.mass.pack(whole_system.mass_entries),
                   generic_fold(whole_system.boundary_mass, rank, np.ones(len(dofs)), len(dofs)))]
         for band, reference in pairs:

@@ -51,9 +51,10 @@ def relabel(system, label):
     return shifted, system.boundary_mass, label[system.boundary_dofs]
 
 
-def ring_labels(mesh):
-    """Ring number of each mesh vertex (vertex i of ring j is j·N_θ + i)."""
-    return np.argsort(mesher._numbering(mesh.n_theta, mesh.n_radial), axis=None)
+def folded_labels(mesh):
+    """Number of each mesh vertex in the folded θ-major band order the
+    one-block solve packs K + M_∂ in: the label of the whole fold."""
+    return mesher._folds(mesh.n_theta, mesh.n_radial, False)[0].label
 
 
 def dense_dtn(system):
@@ -211,16 +212,19 @@ class TestSmallestEigenpairs:
 
 class TestEliminationOrder:
     def test_pairs_do_not_depend_on_order(self, eccentric):
-        """The mesh's own numbering, the same system relabelled back to ring
-        order and one relabelled by a seeded random permutation give the same
-        eigenvalues to 1e-12 and, up to sign, the same traces of the simple
-        eigenvalues to 1e-10.  The relabelled bands are wide (N_θ + 1 in
-        ring order, nearly n at random), which costs time, not accuracy;
-        they are packed by the reference packer, not a fold map."""
+        """The one-block solve, the system in the mesh's own ring order, the
+        same system relabelled by the whole fold's label and one relabelled
+        by a seeded random permutation give the same eigenvalues to 1e-12
+        and, up to sign, the same traces of the simple eigenvalues to 1e-10.
+        The bands of ring order and of a random order are wide (2N_θ − 1 in
+        ring order, where the bd diagonals wrap, nearly n at random), which
+        costs time, not accuracy; all three are packed by the reference
+        packer, not a fold map."""
         n = eccentric.shifted.shape[0]
         ref_lams, ref_vecs = eigs(eccentric, 6)
         assert np.all(np.diff(ref_lams) > 1e-3)  # simple; the closest pair is λ₃, λ₄
-        for label in (ring_labels(eccentric.mesh), np.random.default_rng(7).permutation(n)):
+        for label in (np.arange(n), folded_labels(eccentric.mesh),
+                      np.random.default_rng(7).permutation(n)):
             lams, vecs = solve_pencil(*relabel(eccentric, label), 6)
             assert abs(lams[0]) < 1e-10
             np.testing.assert_allclose(lams[1:], ref_lams[1:], rtol=1e-12, atol=0.0)
@@ -234,10 +238,11 @@ class TestEliminationOrder:
            grading=st.floats(1.0, 1.3))
     def test_band_of_folded_numbering(self, n_theta, n_radial, radius, center, grading):
         """On any meshable eccentric, graded hole, odd or even N_θ, every
-        entry of K + M_∂ lies within 2N_r + 3 of the diagonal, and the
-        boundary loops sit where the folded θ-major numbering puts them:
-        θ column i in slot 2i for i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise,
-        the inner loop at slot·(N_r+1), the outer one N_r further."""
+        entry of K + M_∂ relabelled by the whole fold lies within 2N_r + 3
+        of the diagonal, its band is (V, 2N_r + 4), and the boundary loops
+        land where the folded θ-major order puts them: θ column i in slot
+        2i for i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise, the inner loop at
+        slot·(N_r+1), the outer one N_r further."""
         assume(math.hypot(*center) + radius < 0.95)
         domain = annulus(radius, center)
         try:
@@ -245,36 +250,43 @@ class TestEliminationOrder:
         except MeshingError:
             assume(False)
         shifted = assemble(mesh).shifted.tocoo()
-        assert np.max(np.abs(shifted.row - shifted.col)) <= 2 * n_radial + 3
+        (whole,) = mesher._folds(n_theta, n_radial, False)
+        label = whole.label
+        assert np.max(np.abs(label[shifted.row] - label[shifted.col])) <= 2 * n_radial + 3
+        assert whole.stiffness.shape == (len(mesh.vertices), 2 * n_radial + 4)
         i = np.arange(n_theta)
         slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
-        np.testing.assert_array_equal(mesh.inner_loop, slot * (n_radial + 1))
-        np.testing.assert_array_equal(mesh.outer_loop, slot * (n_radial + 1) + n_radial)
+        np.testing.assert_array_equal(label[mesh.inner_loop], slot * (n_radial + 1))
+        np.testing.assert_array_equal(label[mesh.outer_loop], slot * (n_radial + 1) + n_radial)
 
     def test_cached_order_is_one_fixed_permutation(self, eccentric):
-        """The numbering of a resolution is one fixed permutation of the
-        vertices, equal across calls and in a fresh interpreter, so that runs
-        repeat exactly; ring 0 of it is the inner loop.  The assembled
-        K + M_∂ is laid out in it and repeats as well."""
-        number = mesher._numbering(32, 4)
-        np.testing.assert_array_equal(np.sort(number, axis=None),
-                                      np.arange(eccentric.shifted.shape[0]))
-        np.testing.assert_array_equal(mesher._numbering(32, 4), number)
-        np.testing.assert_array_equal(eccentric.mesh.inner_loop, number[0])
-        np.testing.assert_array_equal(eccentric.mesh.outer_loop, number[-1])
+        """The folded band order of a resolution, the whole fold's label, is
+        one fixed permutation of the vertices with a (V, 2N_r + 4) band,
+        equal when built again and in a fresh interpreter, so that runs
+        repeat exactly; the inner loop is ring 0 and the outer loop ring
+        N_r.  The assembled K + M_∂ repeats as well."""
+        n = eccentric.shifted.shape[0]
+        (whole,) = mesher._folds(32, 4, False)
+        label = whole.label
+        np.testing.assert_array_equal(np.sort(label), np.arange(n))
+        assert whole.stiffness.shape == (n, 2 * 4 + 4)
+        np.testing.assert_array_equal(mesher._folds.__wrapped__(32, 4, False)[0].label, label)
+        np.testing.assert_array_equal(eccentric.mesh.inner_loop, np.arange(32))
+        np.testing.assert_array_equal(eccentric.mesh.outer_loop, 4 * 32 + np.arange(32))
         shifted = eccentric.shifted
         env = dict(os.environ, PYTHONPATH=str(Path(mesher.__file__).resolve().parents[1]))
         fresh = subprocess.run(
             [sys.executable, "-c",
              "from steklov_annulus.fem import assemble;"
              " from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle;"
-             " from steklov_annulus.mesher import _numbering, build_annular_mesh;"
+             " from steklov_annulus.mesher import _folds, build_annular_mesh;"
              " s = assemble(build_annular_mesh(AnnularDomain("
              "outer=Circle(radius=1.0, orientation=OUTER), inner=Circle(radius=0.3,"
              " center=(0.25, 0.1), orientation=INNER)), 32, 4)).shifted;"
-             " print(_numbering(32, 4).tolist()); print(s.row.tolist()); print(s.col.tolist())"],
+             " print(_folds(32, 4, False)[0].label.tolist()); print(s.row.tolist());"
+             " print(s.col.tolist())"],
             env=env, capture_output=True, text=True, check=True, timeout=60).stdout
-        assert fresh.split("\n")[:3] == [str(number.tolist()), str(shifted.row.tolist()),
+        assert fresh.split("\n")[:3] == [str(label.tolist()), str(shifted.row.tolist()),
                                          str(shifted.col.tolist())]
 
     def test_assembled_matrix_is_the_union_stencil(self, eccentric):
@@ -294,12 +306,13 @@ class TestEliminationOrder:
         assert abs(shifted - shifted.T).max() == 0.0
 
     def test_mesh_numbering_is_fill_reducing(self):
-        """Factored in its own numbering with no reordering, as the solve
-        does, K + M_∂ of an eccentric 64×8 mesh fills no more than its band
-        of half-width 2N_r + 3, under a third of the L + U entries that ring
-        order gives (about 0.32×), and at most 1.5× what SuperLU's
-        minimum-degree ordering gives the ring-numbered matrix (about
-        1.47×: the price of a band solver with no ordering step)."""
+        """Factored in the folded band order with no reordering, as the
+        one-block solve does, K + M_∂ of an eccentric 64×8 mesh fills no
+        more than its band of half-width 2N_r + 3, under a third of the
+        L + U entries that the mesh's own ring order gives (about 0.32×),
+        and at most 1.5× what SuperLU's minimum-degree ordering gives the
+        ring-numbered matrix (about 1.47×: the price of a band solver with
+        no ordering step)."""
         system = assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 64, 8))
         n = system.shifted.shape[0]
         kd = 2 * 8 + 3
@@ -310,8 +323,8 @@ class TestEliminationOrder:
                                           options={"SymmetricMode": True})
             return lu.L.nnz + lu.U.nnz
 
-        own = fill(np.arange(n), "NATURAL")
-        ring = ring_labels(system.mesh)
+        own = fill(folded_labels(system.mesh), "NATURAL")
+        ring = np.arange(n)
         assert own <= 2 * (n * (kd + 1) - kd * (kd + 1) // 2) - n
         assert own < fill(ring, "NATURAL") / 3
         assert own <= 1.5 * fill(ring, "MMD_AT_PLUS_A")
@@ -443,11 +456,12 @@ class TestSolverFailure:
         shifted = eccentric.shifted
         data = eccentric.entries.copy()
         # the first entry past the diagonal is the radial edge from vertex 0
-        # to vertex 1; the matrix laid out from the entries holds it there
-        # and its transpose as the first of the second copies
+        # to vertex N_θ = 32, vertex 0 of ring 1; the matrix laid out from
+        # the entries holds it there and its transpose as the first of the
+        # second copies
         first = len(eccentric.mesh.vertices)
         edge = (first, first + (shifted.nnz - first) // 2)
-        assert {(shifted.row[i], shifted.col[i]) for i in edge} == {(0, 1), (1, 0)}
+        assert {(shifted.row[i], shifted.col[i]) for i in edge} == {(0, 32), (32, 0)}
         data[first] = np.nan
         with pytest.raises(EigensolveError, match="Cholesky"):
             eigs(with_entries(eccentric, data), 3)

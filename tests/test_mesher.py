@@ -5,8 +5,8 @@ import pytest
 
 from steklov_annulus.geometry import (INNER, TWO_PI, AnnularDomain, Circle,
                                       CosinePerturbedCircle)
-from steklov_annulus.mesher import (Mesh, MeshingError, _numbering, _radial_fractions,
-                                    build_annular_mesh, radial_grading)
+from steklov_annulus.mesher import (Mesh, MeshingError, _radial_fractions, build_annular_mesh,
+                                    radial_grading)
 
 
 @pytest.fixture(scope="module")
@@ -61,16 +61,29 @@ class TestBuild:
         domain = AnnularDomain(outer=Circle(radius=1.0), inner=inner)
         mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
         verts, tris = layer_loop_mesh(domain, n_theta, n_radial, grading)
-        # ring vertex v is mesh vertex step[v]
-        step = _numbering(n_theta, n_radial).ravel()
-        np.testing.assert_array_equal(mesh.vertices[step], verts)
-        np.testing.assert_array_equal(mesh.triangles, step[tris])
+        np.testing.assert_array_equal(mesh.vertices, verts)
+        np.testing.assert_array_equal(mesh.triangles, tris)
 
     def test_counts(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 4)
         assert mesh.vertices.shape == (32 * 5, 2)
         assert mesh.triangles.shape == (2 * 32 * 4, 3)
         assert len(mesh.inner_loop) == len(mesh.outer_loop) == 32
+
+    @pytest.mark.parametrize("n_theta, n_radial", [(32, 4), (65, 7)])
+    def test_vertices_are_the_ring_array(self, annulus, n_theta, n_radial):
+        """A vertex's number is its ring position j·N_θ + i: the vertex list
+        is a read-only view of the ring array, the boundary vertices are the
+        first and the last ring, and every quad still gives two triangles."""
+        mesh = build_annular_mesh(annulus, n_theta, n_radial)
+        vertices = mesh.vertices
+        assert np.shares_memory(vertices, mesh.ring)
+        assert not vertices.flags.writeable
+        np.testing.assert_array_equal(vertices, mesh.ring.reshape(2, -1).T)
+        n = (n_radial + 1) * n_theta
+        np.testing.assert_array_equal(mesh.boundary_vertices,
+                                      np.r_[:n_theta, n - n_theta:n])
+        assert len(mesh.triangles) == 2 * n_theta * n_radial
 
     def test_all_triangles_ccw(self, annulus):
         mesh = build_annular_mesh(annulus, 48, 6)
@@ -152,14 +165,14 @@ class TestMirror:
 class TestGrading:
     def test_layers_grow_away_from_inner(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 8, grading=1.3)
-        ray = _numbering(32, 8)[:, 0]  # θ=0 ray, ring by ring
+        ray = 32 * np.arange(9)  # θ=0 ray, vertex 0 of each ring
         radii = np.linalg.norm(mesh.vertices[ray], axis=1)
         widths = np.diff(radii)
         assert np.all(np.diff(widths) > 0)
 
     def test_unit_grading_is_uniform(self, annulus):
         mesh = build_annular_mesh(annulus, 32, 4)
-        radii = np.linalg.norm(mesh.vertices[_numbering(32, 4)[:, 0]], axis=1)
+        radii = np.linalg.norm(mesh.vertices[32 * np.arange(5)], axis=1)
         np.testing.assert_allclose(np.diff(radii), 0.7 / 4, rtol=1e-13)
         for n in (4, 12, 24, 48):
             np.testing.assert_array_equal(_radial_fractions(n, 1.0), np.arange(n + 1) / n)
