@@ -19,10 +19,18 @@ Both matrices are factored as band matrices by LAPACK's band Cholesky
 (dpbtrf), in place: K + M_∂ in the vertex order it is given, M_bb with its
 boundary vertices in ascending order, in which the folds `fem` packs put
 the two ends of every loop edge at most two boundary positions apart on a
-mirror half and four in one block.  dpbtrs applies the factor of K + M_∂
-and BLAS's dtbmv the band L.  `mesher._folds` orders the vertices so that
-the band of K + M_∂ is 2N_r + 3 wide on the whole mesh and N_r + 2 on a
-mirror half; this module makes no ordering choice itself.
+mirror half and four in one block.  BLAS's dtbmv applies the band L.  The
+factor of K + M_∂ is applied by two dtbsv sweeps per column, both on an
+upper band: OpenBLAS's lower-transposed sweep, the Lᵀ·x = y step of
+dpbtrs, runs 2.5–3× slower than the other three band sweeps (121–136
+against 38–50 µs at n = 3225, kd = 26).  So the lower factor L is reversed in
+place once per fold: its flat storage read backwards is the upper band
+storage of Ũ = P·L·P, P the reversal of the vertex order, and
+P·(K + M_∂)·P = Ũ·Ũᵀ.  Each solve scatters its right-hand side onto the
+reversed boundary positions n − 1 − boundary_dofs and runs Ũ·z = b, then
+Ũᵀ·x = z.  `mesher._folds` orders the vertices so that the band of
+K + M_∂ is 2N_r + 3 wide on the whole mesh and N_r + 2 on a mirror half;
+this module makes no ordering choice itself.
 One more block solve lifts the converged traces to full vertex vectors
 u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w, with M_bb·w = L·y, on which every pair is
 checked against RESIDUAL_BOUND: K·u − λ·M_∂·u, computed as
@@ -72,22 +80,18 @@ def lowest_pairs(band, mass_band, boundary_dofs, computed: int, count: int):
     band is the lower band of K + M_∂ and mass_band that of M_bb, its rows
     and columns in boundary_dofs order, each C-ordered as (n, kd+1): row j
     holds the entries (j, j), (j+1, j), …, (j+kd, j).  Both are factored in
-    place.  1 ≤ count ≤ computed < n_b.
+    place, and the factor of K + M_∂ is then reversed in place (`_reverse`),
+    so that every solve with it is two fast upper sweeps (module docstring);
+    the Lanczos iteration works on the reversed boundary positions, and the
+    final lift reverses the rows of its result.  1 ≤ count ≤ computed < n_b.
     """
     from scipy.linalg.blas import dtbmv
-    from scipy.linalg.lapack import dpbtrs
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    factor = _band_cholesky(band, "K + M_∂")
+    factor = _reverse(_band_cholesky(band, "K + M_∂"))  # P·(K + M_∂)·P = Ũ·Ũᵀ
     mass_factor = _band_cholesky(mass_band, "M_bb")  # M_bb = L·Lᵀ
     n, nb, kd = factor.shape[1], len(boundary_dofs), mass_factor.shape[0] - 1
-
-    def lift(traces):
-        """(K + M_∂)⁻¹·E·traces: one band solve, every column at once."""
-        # Fortran order, so that dpbtrs solves in place without a copy
-        rhs = np.zeros((n,) + traces.shape[1:], order="F")
-        rhs[boundary_dofs] = traces
-        return dpbtrs(factor, rhs, lower=1, overwrite_b=1)[0]
+    rows = n - 1 - boundary_dofs  # the boundary vertices' rows in reversed order
 
     def times_factor(x, trans=0):
         """L·x, or Lᵀ·x if trans, for a vector x."""
@@ -96,7 +100,7 @@ def lowest_pairs(band, mass_band, boundary_dofs, computed: int, count: int):
     # C = Lᵀ·G·L, whose largest eigenvalues μ = 1/(1 + λ), with eigenvectors
     # y = Lᵀ·w, belong to the smallest λ
     c = LinearOperator((nb, nb), dtype=float,
-                       matvec=lambda y: times_factor(lift(times_factor(y))[boundary_dofs], 1))
+                       matvec=lambda y: times_factor(_lift(factor, rows, times_factor(y))[rows], 1))
     v0 = np.random.default_rng(0).standard_normal(nb)  # fixed, so runs repeat exactly
     try:
         mu, traces = eigsh(c, computed, which="LA", v0=v0, tol=LANCZOS_TOL)
@@ -108,7 +112,8 @@ def lowest_pairs(band, mass_band, boundary_dofs, computed: int, count: int):
     # full vertex vectors u = (1 + λ)·(K + M_∂)⁻¹·E·M_bb·w up to the
     # normalization below, whose residual is the boundary eigen-residual of
     # w; M_bb·w = L·y
-    vectors = lift(np.column_stack([times_factor(y) for y in traces[:, lowest].T]))
+    mass_traces = np.column_stack([times_factor(y) for y in traces[:, lowest].T])
+    vectors = _lift(factor, rows, mass_traces)[::-1]  # back to the given vertex order
     # uᵀ·M_∂·u = |Lᵀ·Eᵀu|²
     scale = [np.linalg.norm(times_factor(u, 1)) for u in vectors[boundary_dofs].T]
     return eigenvalues[lowest], vectors / scale
@@ -142,10 +147,11 @@ def _band_cholesky(band, name):
     entry (i − j, j) holds L[i, j].
 
     The band is factored through its transpose, which is Fortran-ordered,
-    so dpbtrf overwrites it in place and dpbtrs and dtbmv read it without a
-    copy.  Raises EigensolveError unless the matrix is positive definite
-    and finite: dpbtrf reports a nonpositive pivot, and a NaN reaches the
-    diagonal of the factor.
+    so dpbtrf overwrites it in place, and `_reverse` and dtbmv use the
+    factor without a copy.  Raises EigensolveError unless the matrix is
+    positive definite and finite: dpbtrf reports a nonpositive pivot, and a
+    NaN reaches the diagonal of the factor.  Both checks run on the lower
+    factor, before any reversal.
     """
     from scipy.linalg.lapack import dpbtrf
 
@@ -154,3 +160,36 @@ def _band_cholesky(band, name):
         raise EigensolveError(f"band Cholesky factorization failed (LAPACK info {info}): "
                               f"{name} is not positive definite and finite")
     return factor
+
+
+def _reverse(factor):
+    """The Fortran-ordered band `factor`, its flat storage reversed in place
+    by one BLAS swap and returned.  Entry (i − j, j) of a lower band, L[i, j],
+    lands on entry (kd + (n−1−i) − (n−1−j), n−1−j) of an upper band: the
+    lower band of L becomes the upper band of Ũ = P·L·P, P the reversal of
+    the vertex order, and reversing again restores L bit for bit.
+    """
+    from scipy.linalg.blas import dswap
+
+    flat = factor.reshape(-1, order="F")  # a view: no band-sized temporary
+    half = len(flat) // 2
+    dswap(flat[:half], flat[-half:], incy=-1)  # a negative stride walks y backwards
+    return factor
+
+
+def _lift(factor, rows, traces):
+    """Ũ⁻ᵀ·Ũ⁻¹·E·traces, every column at once, for the reversed factor Ũ of
+    `_reverse` and E the injection at `rows`: zeros with traces scattered
+    onto rows, then two upper dtbsv sweeps per column, Ũ·z = b and Ũᵀ·x = z.
+    """
+    from scipy.linalg.blas import dtbsv
+
+    kd = factor.shape[0] - 1
+    # Fortran order, so that every column is contiguous and dtbsv solves it
+    # in place
+    x = np.zeros((factor.shape[1],) + traces.shape[1:], order="F")
+    x[rows] = traces
+    for column in x.reshape(len(x), -1, order="F").T:
+        dtbsv(kd, factor, column, overwrite_x=1)
+        dtbsv(kd, factor, column, trans=1, overwrite_x=1)
+    return x

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from band_reference import solve_pencil
-from steklov_annulus import analytic, fem, mesher
+from steklov_annulus import analytic, fem, linalg, mesher
 from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
 from steklov_annulus.linalg import EigensolveError, lowest_pairs
@@ -168,20 +168,36 @@ class TestSmallestEigenpairs:
         half's factor is applied at most 24 times (22 measured: ARPACK's
         20-vector basis, the start and the lift).  The one factor of the
         full K + M_∂, whose double λ₁ slows convergence, took 36, and the
-        iteration over all vertices at eigsh's default tolerance 64."""
+        iteration over all vertices at eigsh's default tolerance 64.  A
+        solve is one call of `linalg._lift`, the two sweeps of the reversed
+        factor over every column of its right-hand side."""
         n = len(build_annular_mesh(annulus(0.3), 256, 24).vertices)
-        real_dpbtrs = scipy.linalg.lapack.dpbtrs
+        real_lift = linalg._lift
         solves = []
 
-        def counted_dpbtrs(factor, rhs, *args, **kwargs):
+        def counted_lift(factor, rows, traces):
             solves.append(factor.shape[1])
-            return real_dpbtrs(factor, rhs, *args, **kwargs)
+            return real_lift(factor, rows, traces)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", counted_dpbtrs)
+        monkeypatch.setattr(linalg, "_lift", counted_lift)
         solve_domain(annulus(0.3), 256, 24, count=3)
         sizes, counts = np.unique(solves, return_counts=True)
         assert len(sizes) == 2 and sizes.sum() == n  # θ = 0 and π are even only
         assert np.all(counts <= 24)
+
+    def test_solves_never_call_dpbtrs(self, monkeypatch):
+        """Every band solve runs through the two upper dtbsv sweeps of the
+        reversed factor: with LAPACK's dpbtrs refusing to run, a mirrored
+        and an off-axis mesh still solve, to the dense reference."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve called dpbtrs")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", refuse)
+        for center in ((0.0, 0.0), (0.25, 0.1)):
+            system = assemble(build_annular_mesh(annulus(0.3, center=center), 32, 4))
+            lams = solve_spectrum(system, 3).eigenvalues
+            np.testing.assert_allclose(lams[1:], dense_reference(system)[1:3], rtol=1e-10)
+            assert system.mesh.mirrored == (center == (0.0, 0.0))
 
     def test_largest_count(self, eccentric):
         """count = n_b − 1 leaves no room for the extra pair and still works.
@@ -208,6 +224,54 @@ class TestSmallestEigenpairs:
             for count in (0, len(system.boundary_dofs)):
                 with pytest.raises(ValueError):
                     solve_spectrum(system, count)
+
+
+def random_spd_band(rng, n, kd):
+    """The C-ordered (n, kd+1) lower band of a random symmetric, strictly
+    diagonally dominant and so positive definite matrix of half-bandwidth
+    kd, with zeros past the last row: entry (j, d) holds A[j+d, j]."""
+    band = rng.uniform(-1.0, 1.0, (n, kd + 1))
+    band[np.arange(n)[:, None] + np.arange(kd + 1) >= n] = 0.0
+    off = np.abs(band[:, 1:])
+    # off-diagonal row sums of |A|: row j holds A[j+d, j] right of the
+    # diagonal and A[j, j−d] left of it
+    dominance = off.sum(axis=1)
+    for d in range(1, min(kd, n - 1) + 1):
+        dominance[d:] += off[:n - d, d - 1]
+    band[:, 0] = dominance + rng.uniform(0.5, 1.5, n)
+    return band
+
+
+class TestReversedFactor:
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(1, 60), odd=st.booleans(), kd=st.integers(1, 30),
+           columns=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_reversed_solve_matches_solveh_banded(self, half, odd, kd, columns, seed):
+        """On a random SPD band, odd or even n, the two upper sweeps of the
+        reversed factor, right-hand side scattered onto the reversed rows
+        and the result read back reversed, solve the system to 1e-13
+        relative, for one column and for three at once."""
+        rng = np.random.default_rng(seed)
+        n = 2 * half + odd
+        band = random_spd_band(rng, n, kd)
+        rhs = rng.standard_normal((n, columns)).squeeze()
+        expected = scipy.linalg.solveh_banded(band.T, rhs, lower=True)
+        factor = linalg._reverse(linalg._band_cholesky(band, "A"))
+        x = linalg._lift(factor, n - 1 - np.arange(n), rhs)[::-1]
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n, kd", [(7, 2), (8, 3), (3225, 26)])
+    def test_reversal_is_in_place(self, n, kd):
+        """The reversal writes into the band array itself, flat storage read
+        backwards, and reversing twice restores the factor bit for bit."""
+        band = random_spd_band(np.random.default_rng(n), n, kd)
+        factor = linalg._band_cholesky(band, "A")
+        lower = factor.copy(order="F")
+        reversed_factor = linalg._reverse(factor)
+        assert reversed_factor is factor and np.shares_memory(factor, band)
+        np.testing.assert_array_equal(factor.ravel(order="F"), lower.ravel(order="F")[::-1])
+        np.testing.assert_array_equal(linalg._reverse(factor), lower)
 
 
 class TestEliminationOrder:
@@ -353,8 +417,9 @@ class TestEliminationOrder:
     def test_factor_is_made_in_place(self):
         """The tracemalloc peak of one 256×24 one-block solve stays below 1.5×
         the bytes of its band array: the band is packed once, factored in
-        place and applied without a copy.  A C-ordered band would make f2py
-        copy it inside dpbtrf or on every dpbtrs call, a second band."""
+        place, reversed in place and applied without a copy.  A C-ordered
+        band would make f2py copy it inside dpbtrf or on every dtbsv sweep,
+        and a reversal through a temporary would hold a second band."""
         system = assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 256, 24))
         band_bytes = system.shifted.shape[0] * (2 * 24 + 3 + 1) * 8
         tracemalloc.start()
