@@ -49,13 +49,18 @@ def steklov_eig(eps: float, n: int, branch: str) -> float:
     return 2.0 * n / (eps * (p + root))
 
 
-def _char_poly(eps, k, beta):
+def _coeff_rows(eps, k, beta):
+    """The entries p − q·λ of the 2×2 system, linear in λ, as p and q, each
+    (row 1 col 1, row 1 col 2, row 2 col 1, row 2 col 2)."""
+    return ((beta * k * k + k, beta * k * k - k,
+             beta * k * k * eps ** (k - 2) - k * eps ** (k - 1),
+             beta * k * k * eps ** (-k - 2) + k * eps ** (-k - 1)),
+            (1.0, 1.0, eps ** k, eps ** (-k)))
+
+
+def _char_poly(p, q):
     """Quadratic aλ² + bλ + c whose roots make the 2×2 system singular."""
-    # row entries are linear in λ: entry = p - q·λ
-    p11, q11 = beta * k * k + k, 1.0
-    p12, q12 = beta * k * k - k, 1.0
-    p21, q21 = beta * k * k * eps ** (k - 2) - k * eps ** (k - 1), eps ** k
-    p22, q22 = beta * k * k * eps ** (-k - 2) + k * eps ** (-k - 1), eps ** (-k)
+    (p11, p12, p21, p22), (q11, q12, q21, q22) = p, q
     a = q11 * q22 - q12 * q21
     b = -(p11 * q22 + p22 * q11) + (p12 * q21 + p21 * q12)
     c = p11 * p22 - p12 * p21
@@ -89,7 +94,8 @@ def solve_coeffs(eps: float, k: int, beta: float, branch: str) -> CoeffPair:
     """
     _check_mode(eps, k, branch)
     try:
-        a, b, c = _char_poly(eps, k, beta)
+        p, q = _coeff_rows(eps, k, beta)
+        a, b, c = _char_poly(p, q)
         disc = b * b - 4.0 * a * c
     except OverflowError:
         disc = math.inf
@@ -104,9 +110,7 @@ def solve_coeffs(eps: float, k: int, beta: float, branch: str) -> CoeffPair:
     lam = roots[0] if branch == "minus" else roots[1]
 
     # null vector from the better-conditioned row
-    m11, m12 = beta * k * k + k - lam, beta * k * k - k - lam
-    m21 = beta * k * k * eps ** (k - 2) - k * eps ** (k - 1) - lam * eps ** k
-    m22 = beta * k * k * eps ** (-k - 2) + k * eps ** (-k - 1) - lam * eps ** (-k)
+    m11, m12, m21, m22 = (p_ij - q_ij * lam for p_ij, q_ij in zip(p, q))
     if max(abs(m11), abs(m12)) >= max(abs(m21), abs(m22)):
         a_k, a_mk = -m12, m11
     else:

@@ -1,29 +1,35 @@
 """P1 finite elements for the Steklov problem on annular meshes.
 
-The solver needs K + M_∂, stiffness plus boundary mass, and assembles it
+The solver needs K + M_∂, stiffness plus boundary mass.  K is assembled
 edge by edge from the mesh's ring array (see `mesher`), never forming its
 vertex or triangle list: each quad's edge vectors give, through their
 cross and dot products, the stiffness −½(cot α + cot β) of each of its
-edges; every row's diagonal is minus its off-diagonal sum; and each
-boundary loop edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  The values are
-written once into one flat array of ring-space entries on the union
-stencil (`mesher._union_parts`), and the boundary mass M_bb into one of
-its loop entries; no sparse matrix is formed on the way to the
-eigenvalues.  Folded θ-major (`mesher._folds`), every entry lies within
-2N_r + 3 of the diagonal, so K + M_∂ packs straight into a band.  Where
-every held entry lands in a band of K + M_∂ and of M_bb, and with what
-sign, depends on the resolution alone, so `mesher._folds` works it out
-once per resolution and a solve packs each band with one bincount over the
-entries (`_solve_folds`).  A mesh that is its own mirror image under
-y ↦ −y, as the mesh of every table row is, is solved as two half pencils,
-one on even and one on odd vectors, each with a K + M_∂ band N_r + 2 wide
-and an M_bb band 2 wide; any other mesh is solved in one block, in the
-folded order.  The spectrum comes from a standard-form Lanczos iteration on
-the boundary traces (see `linalg`); only the traces are kept.  Every pair
-is checked against the full pencil, K + M_∂ and M_bb applied by their
-ring stencils (`mesher._union_product`, `mesher._loop_product`).  The COO
-matrices of K + M_∂, M_bb and K alone are built on request only
-(`AssembledSystem.shifted`, `.boundary_mass`, `.stiffness`).
+edges, and every row's diagonal is minus its off-diagonal sum.  Each
+boundary loop edge of length ℓ gives M_bb ℓ/6·[[2, 1], [1, 2]]
+(`_loop_entries`), which `assemble` adds onto the boundary rings of K.
+
+K + M_∂ is held as one flat array of its V + E ring-space entries on the
+union stencil, in which every quad carries both diagonals, so that it
+contains the stiffness graph of every mesh of the resolution: the
+diagonal, then the radial, ring, ac and bd edges (`_union_parts` gives
+their views).  M_bb is held as its diagonal and loop-edge entries.
+`_union_product` and `_loop_product` apply them to a vector by slices and
+rolls in ring space; no sparse matrix is formed on the way to the
+eigenvalues.  On request `_union_matrix` lays the entries out on the
+vertex numbers as a symmetric COO matrix, each position once, the first
+V + E of them in the order they are held, the diagonal a quad does not
+take an explicit zero inside the band; `_loop_matrix` does the same for
+M_bb.
+
+`linalg` factors K + M_∂ not in the mesh numbering but in a fold of it,
+written only in `_folds`, which works out once per resolution where each
+held entry lands in a band of K + M_∂ and of M_bb, and with what sign, so
+that a solve packs each band with one bincount (`_solve_folds`).  A mesh
+that is its own mirror image under y ↦ −y, as the mesh of every table row
+is, is solved as an even and an odd half pencil; any other mesh in one
+block.  The spectrum comes from a standard-form Lanczos iteration on the
+boundary traces (see `linalg`), and every pair is checked against the
+full pencil, applied by the ring stencils.
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ import numpy as np
 
 from .geometry import AnnularDomain
 from .linalg import check_residual, lowest_pairs
-from .mesher import (Mesh, _folds, _loop_matrix, _loop_product, _quad_sides, _twice_areas,
-                     _union_matrix, _union_parts, _union_product, build_annular_mesh)
+from .mesher import Mesh, _corners, _quad_sides, _twice_areas, build_annular_mesh
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -48,11 +53,10 @@ class AssembledSystem:
     """K + M_∂ and M_bb of a mesh as their ring-space entries, read-only.
 
     entries holds the V + E values of K + M_∂ on the union stencil, flat,
-    in the order `mesher._union_matrix` lays out its first V + E entries
-    (`parts` gives its ring-space views); mass_entries holds M_bb over
+    in the order `_union_matrix` lays out its first V + E entries (`parts`
+    gives its ring-space views); mass_entries holds M_bb over
     boundary_dofs, its diagonal (2, N_θ) and then its loop edges (2, N_θ),
-    flat.  The matrices themselves are built on request only, for the
-    tests and for callers that want them; the solve never forms them.
+    flat.
     """
 
     entries: np.ndarray
@@ -67,7 +71,7 @@ class AssembledSystem:
     @property
     def parts(self):
         """The ring-space views vertex, radial, around, on_ac, on_bd of
-        entries (`mesher._union_parts`)."""
+        entries (`_union_parts`)."""
         return _union_parts(self.entries, self.mesh.n_theta, self.mesh.n_radial)
 
     @property
@@ -77,20 +81,14 @@ class AssembledSystem:
 
     @property
     def shifted(self) -> sp.coo_array:
-        """K + M_∂ as a COO matrix, laid out by `mesher._union_matrix`."""
+        """K + M_∂ as a COO matrix, laid out by `_union_matrix`."""
         return _union_matrix(*self.parts)
 
     @property
-    def boundary_mass(self) -> sp.coo_array:
-        """M_bb over boundary_dofs as a COO matrix, by `mesher._loop_matrix`."""
-        return _loop_matrix(*self.mass_parts)
-
-    @property
     def stiffness(self) -> sp.coo_array:
-        """K alone, on the same stencil."""
+        """K alone, on the same stencil: the entries `assemble` adds M_bb to."""
         mesh = self.mesh
-        return _union_matrix(*_union_parts(_assemble(mesh, with_boundary=False),
-                                           mesh.n_theta, mesh.n_radial))
+        return _union_matrix(*_union_parts(_assemble(mesh), mesh.n_theta, mesh.n_radial))
 
 
 @dataclass(frozen=True)
@@ -124,16 +122,21 @@ class SteklovSpectrum:
 
 def assemble(mesh: Mesh) -> AssembledSystem:
     """K + M_∂ over all vertices plus the boundary mass over boundary dofs,
-    both from the mesh's ring array alone, as their ring-space entries."""
-    return AssembledSystem(entries=_assemble(mesh, with_boundary=True),
-                           mass_entries=_loop_entries(mesh), mesh=mesh)
+    both from the mesh's ring array alone, as their ring-space entries: K
+    by `_assemble`, M_bb by `_loop_entries`, added onto rings 0 and N_r."""
+    entries, mass_entries = _assemble(mesh), _loop_entries(mesh)
+    vertex, _, around, _, _ = _union_parts(entries, mesh.n_theta, mesh.n_radial)
+    diagonal, edge = mass_entries.reshape(2, 2, -1)
+    vertex[[0, -1]] += diagonal
+    around[[0, -1]] += edge
+    entries.setflags(write=False)
+    return AssembledSystem(entries=entries, mass_entries=mass_entries, mesh=mesh)
 
 
-def _assemble(mesh, with_boundary):
-    """K, plus M_∂ if with_boundary, in one pass over the ring-space quads,
-    as the flat entries `mesher._union_parts` splits."""
-    ring = mesh.ring
-    use_ac, (ab, bc, cd, da), g = _quad_sides(ring)
+def _assemble(mesh):
+    """K in one pass over the ring-space quads, as the flat entries
+    `_union_parts` splits."""
+    use_ac, (ab, bc, cd, da), g = _quad_sides(mesh.ring)
     first, second = 0.5 / _twice_areas(use_ac, (ab, bc, cd, da))
 
     def dot(u, v):
@@ -167,21 +170,12 @@ def _assemble(mesh, with_boundary):
     vertex[...] = -(around + np.roll(around, 1, axis=1))
     vertex[:-1] -= radial + on_ac + np.roll(on_bd, 1, axis=1)  # corner a or d of its layer
     vertex[1:] -= radial + on_bd + np.roll(on_ac, 1, axis=1)   # corner b or c of its layer
-
-    if with_boundary:
-        for j in (0, -1):
-            loop = np.roll(ring[:, j], -1, axis=1) - ring[:, j]
-            length = np.sqrt(dot(loop, loop))
-            around[j] += length / 6.0
-            third = length / 3.0
-            vertex[j] += third + np.roll(third, 1)
-    entries.setflags(write=False)
     return entries
 
 
 def _loop_entries(mesh):
     """The entries of M_bb, flat: diagonal (2, N_θ), then edge (2, N_θ)
-    coupling θ column i of a loop to column i+1 (`mesher._loop_matrix`)."""
+    coupling θ column i of a loop to column i+1 (`_loop_matrix`)."""
     loops = mesh.ring[:, [0, -1]]
     lengths = np.linalg.norm(np.roll(loops, -1, axis=2) - loops, axis=0)
     third = lengths / 3.0
@@ -191,13 +185,221 @@ def _loop_entries(mesh):
 
 
 def boundary_mass(mesh: Mesh) -> sp.coo_array:
-    """P1 boundary mass over the boundary loops, inner then outer.
-
-    Rows and columns are positions in `mesh.boundary_vertices`; each loop
-    edge of length ℓ adds ℓ/6·[[2, 1], [1, 2]].  COO, each position once,
-    laid out by `mesher._loop_matrix`; the solve never forms it.
-    """
+    """P1 boundary mass over the boundary loops, inner then outer, as a COO
+    matrix laid out by `_loop_matrix`; rows and columns are positions in
+    `mesh.boundary_vertices`."""
     return _loop_matrix(*_loop_entries(mesh).reshape(2, 2, -1))
+
+
+def _stencil(n_theta, n_radial):
+    """The union stencil in the order `_union_matrix` lays it out: the mesh
+    number of every vertex (N_r+1, N_θ), then the ends p and q of its
+    radial, ring, ac and bd edges, as tuples of their ring-space arrays."""
+    number, nxt, a, b, c, d = _corners(n_theta, n_radial)
+    return number, (a, number, a, b), (b, nxt, c, d)
+
+
+def _union_parts(entries, n_theta, n_radial):
+    """The ring-space views vertex (N_r+1, N_θ), radial (N_r, N_θ), around
+    (N_r+1, N_θ), on_ac and on_bd (N_r, N_θ) of the flat array of the
+    V + E = (5N_r + 2)·N_θ entries of K + M_∂ on the union stencil, laid
+    out as `_union_matrix` lays out its first V + E entries."""
+    layers = n_radial + 1
+    ends = np.cumsum([layers, n_radial, layers, n_radial]) * n_theta
+    return tuple(part.reshape(-1, n_theta) for part in np.split(entries, ends))
+
+
+def _union_matrix(vertex, radial, around, on_ac, on_bd):
+    """The mesh-numbered symmetric COO matrix on the union stencil with the
+    given ring-space entries, each edge's in both of its places, int32
+    indices, every entry once.
+
+    vertex (N_r+1, N_θ) is the diagonal; radial (N_r, N_θ) couples (j, i)
+    and (j+1, i), around (N_r+1, N_θ) couples (j, i) and (j, i+1), and
+    on_ac and on_bd (N_r, N_θ) are the quad diagonals (j, i)–(j+1, i+1) and
+    (j+1, i)–(j, i+1).  The diagonal comes first, then every edge (p, q) in
+    `_stencil` order, then every (q, p): `_folds` reads the first
+    V + E entries.
+    """
+    import scipy.sparse as sp
+
+    n_radial, n_theta = radial.shape
+    number, p, q = _stencil(n_theta, n_radial)
+    off = (radial, around, on_ac, on_bd)
+    return sp.coo_array((np.concatenate([vertex, *off, *off], axis=None),
+                         (np.concatenate([number, *p, *q], axis=None),
+                          np.concatenate([number, *q, *p], axis=None))),
+                        shape=(number.size, number.size))
+
+
+def _union_product(vertex, radial, around, on_ac, on_bd, u):
+    """The product of the matrix `_union_matrix` lays out from the same
+    entries with one vector u, by its ring stencil, where every edge
+    couples slices and rolls of u.  u and the product are flat, by vertex
+    number: vertex i of ring j at j·N_θ + i."""
+    x = u.reshape(vertex.shape)
+    nxt = np.roll(x, -1, axis=1)  # vertex i+1 of each ring
+    y = vertex * x + around * nxt
+    y[:-1] += radial * x[1:] + on_ac * nxt[1:]
+    y[1:] += radial * x[:-1] + on_bd * nxt[:-1]
+    back = around * x  # what each vertex gives vertex i+1 of its own or the next ring
+    back[:-1] += on_bd * x[1:]
+    back[1:] += on_ac * x[:-1]
+    y += np.roll(back, 1, axis=1)
+    return y.ravel()
+
+
+def _loop_stencil(n_theta):
+    """Every boundary position (2, N_θ), inner loop then outer loop, and the
+    position after it on its loop."""
+    position = np.arange(2 * n_theta).reshape(2, n_theta)
+    return position, np.roll(position, -1, axis=1)
+
+
+def _loop_matrix(diagonal, edge):
+    """The symmetric COO matrix over the boundary positions, inner loop
+    (0 … N_θ−1) then outer loop, with diagonal (2, N_θ) and edge (2, N_θ)
+    coupling θ column i of a loop to column i+1; laid out like
+    `_union_matrix`, the diagonal, every (i, i+1), then every (i+1, i)."""
+    import scipy.sparse as sp
+
+    n_theta = diagonal.shape[1]
+    position, nxt = _loop_stencil(n_theta)
+    return sp.coo_array((np.concatenate([diagonal, edge, edge], axis=None),
+                         (np.concatenate([position, position, nxt], axis=None),
+                          np.concatenate([position, nxt, position], axis=None))),
+                        shape=(2 * n_theta, 2 * n_theta))
+
+
+def _loop_product(diagonal, edge, w):
+    """The product of the matrix `_loop_matrix` lays out from the same
+    entries with one vector w over the boundary positions, by its loop
+    stencil."""
+    w = w.reshape(diagonal.shape)
+    product = diagonal * w
+    product += edge * np.roll(w, -1, axis=1)
+    product += np.roll(edge * w, 1, axis=1)
+    return product.ravel()
+
+
+@dataclass(frozen=True)
+class _BandFold:
+    """Where each stored entry of a symmetric matrix lands in the lower band
+    of its fold QᵀAQ, and with what weight.
+
+    The entries are the diagonal and each off-diagonal pair once, in the
+    order they are held (module docstring); slot is the flat position,
+    j·kd + i, of the folded entry (i, j), i ≥ j, in a C-ordered (n, kd+1)
+    band, whose row j holds the entries (j, j), (j+1, j), …, (j+kd, j), kd
+    the largest i − j of a folded entry.
+    weight is the product of the two ends' signs, doubled where both ends
+    of a pair fold onto one vertex, whose diagonal then receives the pair's
+    entry and its transpose.
+    """
+
+    slot: np.ndarray    # int32 where it fits
+    weight: np.ndarray  # int8: 0, ±1 or ±2
+    shape: tuple        # (n, kd+1)
+
+    @classmethod
+    def of(cls, label, sign, p, q):
+        """The fold of the entries joining p and q, vertex v going to fold
+        number label[v] with sign[v]."""
+        lp, lq = label[p], label[q]
+        lo, hi = np.minimum(lp, lq), np.maximum(lp, lq)
+        n, kd = int(label.max()) + 1, int(np.max(hi - lo))
+        weight = np.where((lp == lq) & (p != q), 2, 1) * sign[p] * sign[q]
+        # kept as int32, which halves the cached map, unless n·(kd+1) passes its range
+        index = np.int32 if n * (kd + 1) <= np.iinfo(np.int32).max else np.intp
+        fold = cls(slot=(lo.astype(np.intp) * kd + hi).astype(index),
+                   weight=weight.astype(np.int8), shape=(n, kd + 1))
+        fold.slot.setflags(write=False)
+        fold.weight.setflags(write=False)
+        return fold
+
+    def pack(self, entries):
+        """The folded lower band, given the held entries of a matrix in the
+        layout the fold was made for."""
+        n, width = self.shape
+        return np.bincount(self.slot, weights=self.weight * entries,
+                           minlength=n * width).reshape(n, width)
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """The whole mesh or one mirror half at one resolution (`_folds`).
+
+    label (V,) int32 and sign (V,) float give, for every mesh number, the
+    fold vertex it lands on and its sign there, so that Q·u_fold is
+    sign·u_fold[label].  boundary lists the fold numbers of the boundary
+    vertices, ascending, the order in which its M_bb is a band.  stiffness
+    folds K + M_∂ from its union-stencil triplets into the fold's band,
+    mass folds M_bb from its loop triplets into the band over boundary.
+    """
+
+    label: np.ndarray
+    sign: np.ndarray
+    boundary: np.ndarray
+    stiffness: _BandFold
+    mass: _BandFold
+
+
+@functools.lru_cache(maxsize=8)
+def _folds(n_theta, n_radial, halves):
+    """The folds a solve at this resolution packs its bands by, as `_Fold`s,
+    built once per resolution and route and read-only; the last eight stay
+    cached, a refinement ladder on both routes.
+
+    Without halves, the whole mesh in folded θ-major order, sign 1: vertex
+    (j, i) lands on slot(i)·(N_r+1) + j, with slot(i) = 2i for
+    i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise.  The θ columns are laid out
+    0, N_θ−1, 1, N_θ−2, …, so columns adjacent in θ, the wrap from N_θ−1
+    to 0 included, sit at most two slots apart (in the mesh's own order
+    the wrap spans a whole ring), and every edge of the union stencil
+    joins vertices at most 2N_r + 3 numbers apart, the half-bandwidth of
+    K + M_∂; M_bb is numbered by the rank of each boundary vertex's fold
+    number.  With halves, the even and the odd half of the mirror θ ↦ −θ:
+    θ column i folds onto half column h = min(i, N_θ − i), and a half
+    numbers its columns unfolded θ-major, vertex (j, h) at
+    (h − h₀)·(N_r+1) + j, so that every stencil edge spans at most N_r + 2
+    numbers.  The even half
+    keeps h = 0 … ⌊N_θ/2⌋ with sign +1.  The odd half keeps
+    h = 1 … ⌈N_θ/2⌉ − 1 with sign −1 past θ = π; an odd vector vanishes on
+    the cut columns, θ = 0 and, for even N_θ, θ = π, which get the sign 0
+    and the number of the kept column beside them, so that what they touch
+    folds to zero inside the half's band.  For odd N_θ the ring edges
+    across θ = π join the two columns that fold onto h = ⌊N_θ/2⌋ and fold
+    onto its diagonal, with weight 2.
+    """
+    layers = n_radial + 1
+    number, p, q = _stencil(n_theta, n_radial)
+    i = np.arange(n_theta, dtype=np.int32)
+    if halves:
+        h = np.minimum(i, n_theta - i)
+        odd_sign = np.where((i == 0) | (2 * i == n_theta), 0.0,
+                            np.where(2 * i > n_theta, -1.0, 1.0))
+        by_column = ((h, np.ones(n_theta)), (np.clip(h, 1, (n_theta - 1) // 2) - 1, odd_sign))
+    else:
+        slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
+        by_column = ((slot, np.ones(n_theta)),)
+    ends = (np.concatenate([number, *p], axis=None), np.concatenate([number, *q], axis=None))
+    loops = number[[0, -1]].ravel()  # the boundary vertices, inner loop then outer loop
+    position, nxt = _loop_stencil(n_theta)
+    loop_ends = (np.concatenate([position, position], axis=None),
+                 np.concatenate([position, nxt], axis=None))
+    folds = []
+    for fold_column, column_sign in by_column:
+        # vertex (j, i) lands on fold number fold_column[i]·(N_r+1) + j
+        label = (fold_column * layers + np.arange(layers, dtype=np.int32)[:, None]).ravel()
+        sign = np.tile(column_sign, layers)
+        # the fold's boundary vertices, and where each boundary position lands among them
+        boundary, on_boundary = np.unique(label[loops], return_inverse=True)
+        for array in (label, sign, boundary):
+            array.setflags(write=False)
+        folds.append(_Fold(label=label, sign=sign, boundary=boundary,
+                           stiffness=_BandFold.of(label, sign, *ends),
+                           mass=_BandFold.of(on_boundary, sign[loops], *loop_ends)))
+    return tuple(folds)
 
 
 def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
@@ -221,7 +423,7 @@ def solve_spectrum(system: AssembledSystem, count: int) -> SteklovSpectrum:
 
 def _solve_folds(system, count, halves):
     """The `count` smallest eigenpairs, ascending, with boundary traces in
-    boundary_dofs order, from the folds `mesher._folds` maps the pencil
+    boundary_dofs order, from the folds `_folds` maps the pencil
     onto: the whole mesh, or a mirrored mesh's even and odd half.  Raises
     ValueError unless 1 ≤ count < n_b.
 

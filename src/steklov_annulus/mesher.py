@@ -14,35 +14,13 @@ of the assembly (`fem`) read the same edge vectors and cross products
 
 Vertex i of ring j is numbered j·N_θ + i, its position in the ring array,
 so the vertex list is a view of it and the boundary loops are its first
-and last ring.  The band order in which `linalg` factors K + M_∂ is not
-this numbering but a fold of it (`_folds`), the one place that order is
-written.  The union stencil, in which every quad carries both diagonals,
-contains the stiffness graph of every mesh of the resolution, and the
-boundary-mass couplings are quad edges.
-
-K + M_∂ is held as its V + E ring-space entries on that stencil, one flat
-array: the diagonal, then the radial, ring, ac and bd edges
-(`_union_parts` gives their ring-space views), and M_bb as its diagonal
-and loop-edge entries.  `_union_product` and `_loop_product` apply them
-to a vector by their stencils, slices and rolls in ring space; the solve
-forms no sparse matrix.  For the tests and for callers that want one,
-`_union_matrix` lays the entries out on the vertex numbers as a
-symmetric COO matrix, each position once, the first V + E of them in the
-order they are held; the diagonal a quad does not take holds an explicit
-zero, inside the band.  `_loop_matrix` does the same for M_bb.
-
-The mirror θ ↦ −θ maps the θ grid onto itself for any N_θ.
-`Mesh.mirrored` tells whether the ring array is symmetric under it.
-`_folds` works out once per resolution where each held entry lands in a
-band of K + M_∂ and of M_bb, and with what sign, for `fem` to pack each
-band with one bincount: on the whole mesh in folded θ-major order with
-half-bandwidth 2N_r + 3, or on its even and its odd half, each numbered
-unfolded θ-major with half-bandwidth N_r + 2.
+and last ring.  The mirror θ ↦ −θ maps the θ grid onto itself for any N_θ;
+`Mesh.mirrored` tells whether the ring array is symmetric under it.  `fem`
+holds the matrices on this numbering and folds them into bands.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,126 +148,6 @@ def build_annular_mesh(domain: AnnularDomain, n_theta: int, n_radial: int,
     return Mesh((1.0 - s) * inner_xy[:, None, :] + s * outer_xy[:, None, :])
 
 
-@dataclass(frozen=True)
-class _BandFold:
-    """Where each stored entry of a symmetric matrix lands in the lower band
-    of its fold QᵀAQ, and with what weight.
-
-    The entries are the diagonal and each off-diagonal pair once, in the
-    order they are held (module docstring); slot is the flat position,
-    j·kd + i, of the folded entry (i, j), i ≥ j, in a C-ordered (n, kd+1)
-    band, whose row j holds the entries (j, j), (j+1, j), …, (j+kd, j), kd
-    the largest i − j of a folded entry.
-    weight is the product of the two ends' signs, doubled where both ends
-    of a pair fold onto one vertex, whose diagonal then receives the pair's
-    entry and its transpose.
-    """
-
-    slot: np.ndarray    # int32 where it fits
-    weight: np.ndarray  # int8: 0, ±1 or ±2
-    shape: tuple        # (n, kd+1)
-
-    @classmethod
-    def of(cls, label, sign, p, q):
-        """The fold of the entries joining p and q, vertex v going to fold
-        number label[v] with sign[v]."""
-        lp, lq = label[p], label[q]
-        lo, hi = np.minimum(lp, lq), np.maximum(lp, lq)
-        n, kd = int(label.max()) + 1, int(np.max(hi - lo))
-        weight = np.where((lp == lq) & (p != q), 2, 1) * sign[p] * sign[q]
-        # kept as int32, which halves the cached map, unless n·(kd+1) passes its range
-        index = np.int32 if n * (kd + 1) <= np.iinfo(np.int32).max else np.intp
-        fold = cls(slot=(lo.astype(np.intp) * kd + hi).astype(index),
-                   weight=weight.astype(np.int8), shape=(n, kd + 1))
-        fold.slot.setflags(write=False)
-        fold.weight.setflags(write=False)
-        return fold
-
-    def pack(self, entries):
-        """The folded lower band, given the held entries of a matrix in the
-        layout the fold was made for."""
-        n, width = self.shape
-        return np.bincount(self.slot, weights=self.weight * entries,
-                           minlength=n * width).reshape(n, width)
-
-
-@dataclass(frozen=True)
-class _Fold:
-    """The whole mesh or one mirror half at one resolution (`_folds`).
-
-    label (V,) int32 and sign (V,) float give, for every mesh number, the
-    fold vertex it lands on and its sign there, so that Q·u_fold is
-    sign·u_fold[label].  boundary lists the fold numbers of the boundary
-    vertices, ascending, the order in which its M_bb is a band.  stiffness
-    folds K + M_∂ from its union-stencil triplets into the fold's band,
-    mass folds M_bb from its loop triplets into the band over boundary.
-    """
-
-    label: np.ndarray
-    sign: np.ndarray
-    boundary: np.ndarray
-    stiffness: _BandFold
-    mass: _BandFold
-
-
-@functools.lru_cache(maxsize=8)
-def _folds(n_theta, n_radial, halves):
-    """The folds a solve at this resolution packs its bands by, as `_Fold`s,
-    built once per resolution and route and read-only; the last eight stay
-    cached, a refinement ladder on both routes.
-
-    Without halves, the whole mesh in folded θ-major order, sign 1: vertex
-    (j, i) lands on slot(i)·(N_r+1) + j, with slot(i) = 2i for
-    i < ⌈N_θ/2⌉ and 2(N_θ−1−i)+1 otherwise.  The θ columns are laid out
-    0, N_θ−1, 1, N_θ−2, …, so columns adjacent in θ, the wrap from N_θ−1
-    to 0 included, sit at most two slots apart (in the mesh's own order
-    the wrap spans a whole ring), and every edge of the union stencil
-    joins vertices at most 2N_r + 3 numbers apart, the half-bandwidth of
-    K + M_∂; M_bb is numbered by the rank of each boundary vertex's fold
-    number.  With halves, the even and the odd half of the mirror θ ↦ −θ:
-    θ column i folds onto half column h = min(i, N_θ − i), and a half
-    numbers its columns unfolded θ-major, vertex (j, h) at
-    (h − h₀)·(N_r+1) + j, so that every stencil edge spans at most N_r + 2
-    numbers.  The even half
-    keeps h = 0 … ⌊N_θ/2⌋ with sign +1.  The odd half keeps
-    h = 1 … ⌈N_θ/2⌉ − 1 with sign −1 past θ = π; an odd vector vanishes on
-    the cut columns, θ = 0 and, for even N_θ, θ = π, which get the sign 0
-    and the number of the kept column beside them, so that what they touch
-    folds to zero inside the half's band.  For odd N_θ the ring edges
-    across θ = π join the two columns that fold onto h = ⌊N_θ/2⌋ and fold
-    onto its diagonal, with weight 2.
-    """
-    layers = n_radial + 1
-    number, p, q = _stencil(n_theta, n_radial)
-    i = np.arange(n_theta, dtype=np.int32)
-    if halves:
-        h = np.minimum(i, n_theta - i)
-        odd_sign = np.where((i == 0) | (2 * i == n_theta), 0.0,
-                            np.where(2 * i > n_theta, -1.0, 1.0))
-        by_column = ((h, np.ones(n_theta)), (np.clip(h, 1, (n_theta - 1) // 2) - 1, odd_sign))
-    else:
-        slot = np.where(i < (n_theta + 1) // 2, 2 * i, 2 * (n_theta - 1 - i) + 1)
-        by_column = ((slot, np.ones(n_theta)),)
-    ends = (np.concatenate([number, *p], axis=None), np.concatenate([number, *q], axis=None))
-    loops = number[[0, -1]].ravel()  # the boundary vertices, inner loop then outer loop
-    position, nxt = _loop_stencil(n_theta)
-    loop_ends = (np.concatenate([position, position], axis=None),
-                 np.concatenate([position, nxt], axis=None))
-    folds = []
-    for fold_column, column_sign in by_column:
-        # vertex (j, i) lands on fold number fold_column[i]·(N_r+1) + j
-        label = (fold_column * layers + np.arange(layers, dtype=np.int32)[:, None]).ravel()
-        sign = np.tile(column_sign, layers)
-        # the fold's boundary vertices, and where each boundary position lands among them
-        boundary, on_boundary = np.unique(label[loops], return_inverse=True)
-        for array in (label, sign, boundary):
-            array.setflags(write=False)
-        folds.append(_Fold(label=label, sign=sign, boundary=boundary,
-                           stiffness=_BandFold.of(label, sign, *ends),
-                           mass=_BandFold.of(on_boundary, sign[loops], *loop_ends)))
-    return tuple(folds)
-
-
 def _quad_sides(ring):
     """The sides and the diagonal of every quad of the ring-space vertices.
 
@@ -328,96 +186,3 @@ def _corners(n_theta, n_radial):
     vertex = np.arange((n_radial + 1) * n_theta, dtype=np.int32).reshape(-1, n_theta)
     nxt = np.roll(vertex, -1, axis=1)
     return vertex, nxt, vertex[:-1], vertex[1:], nxt[1:], nxt[:-1]
-
-
-def _stencil(n_theta, n_radial):
-    """The union stencil in the order `_union_matrix` lays it out: the mesh
-    number of every vertex (N_r+1, N_θ), then the ends p and q of its
-    radial, ring, ac and bd edges, as tuples of their ring-space arrays."""
-    number, nxt, a, b, c, d = _corners(n_theta, n_radial)
-    return number, (a, number, a, b), (b, nxt, c, d)
-
-
-def _union_parts(entries, n_theta, n_radial):
-    """The ring-space views vertex (N_r+1, N_θ), radial (N_r, N_θ), around
-    (N_r+1, N_θ), on_ac and on_bd (N_r, N_θ) of the flat array of the
-    V + E = (5N_r + 2)·N_θ entries of K + M_∂ on the union stencil, laid
-    out as `_union_matrix` lays out its first V + E entries."""
-    layers = n_radial + 1
-    ends = np.cumsum([layers, n_radial, layers, n_radial]) * n_theta
-    return tuple(part.reshape(-1, n_theta) for part in np.split(entries, ends))
-
-
-def _union_matrix(vertex, radial, around, on_ac, on_bd):
-    """The mesh-numbered symmetric COO matrix on the union stencil with the
-    given ring-space entries, each edge's in both of its places, int32
-    indices, every entry once.
-
-    vertex (N_r+1, N_θ) is the diagonal; radial (N_r, N_θ) couples (j, i)
-    and (j+1, i), around (N_r+1, N_θ) couples (j, i) and (j, i+1), and
-    on_ac and on_bd (N_r, N_θ) are the quad diagonals (j, i)–(j+1, i+1) and
-    (j+1, i)–(j, i+1).  The diagonal comes first, then every edge (p, q) in
-    `_stencil` order, then every (q, p): `_folds` reads the first
-    V + E entries.  Built for the tests and on request only; the solve
-    applies the matrix by `_union_product`.
-    """
-    import scipy.sparse as sp
-
-    n_radial, n_theta = radial.shape
-    number, p, q = _stencil(n_theta, n_radial)
-    off = (radial, around, on_ac, on_bd)
-    return sp.coo_array((np.concatenate([vertex, *off, *off], axis=None),
-                         (np.concatenate([number, *p, *q], axis=None),
-                          np.concatenate([number, *q, *p], axis=None))),
-                        shape=(number.size, number.size))
-
-
-def _union_product(vertex, radial, around, on_ac, on_bd, u):
-    """The product of the matrix `_union_matrix` lays out from the same
-    entries with one vector u, by its ring stencil, where every edge
-    couples slices and rolls of u.  u and the product are flat, by vertex
-    number: vertex i of ring j at j·N_θ + i."""
-    x = u.reshape(vertex.shape)
-    nxt = np.roll(x, -1, axis=1)  # vertex i+1 of each ring
-    y = vertex * x + around * nxt
-    y[:-1] += radial * x[1:] + on_ac * nxt[1:]
-    y[1:] += radial * x[:-1] + on_bd * nxt[:-1]
-    back = around * x  # what each vertex gives vertex i+1 of its own or the next ring
-    back[:-1] += on_bd * x[1:]
-    back[1:] += on_ac * x[:-1]
-    y += np.roll(back, 1, axis=1)
-    return y.ravel()
-
-
-def _loop_stencil(n_theta):
-    """Every boundary position (2, N_θ), inner loop then outer loop, and the
-    position after it on its loop."""
-    position = np.arange(2 * n_theta).reshape(2, n_theta)
-    return position, np.roll(position, -1, axis=1)
-
-
-def _loop_matrix(diagonal, edge):
-    """The symmetric COO matrix over the boundary positions, inner loop
-    (0 … N_θ−1) then outer loop, with diagonal (2, N_θ) and edge (2, N_θ)
-    coupling θ column i of a loop to column i+1; laid out like
-    `_union_matrix`, the diagonal, every (i, i+1), then every (i+1, i).
-    Built on request only; the solve applies it by `_loop_product`."""
-    import scipy.sparse as sp
-
-    n_theta = diagonal.shape[1]
-    position, nxt = _loop_stencil(n_theta)
-    return sp.coo_array((np.concatenate([diagonal, edge, edge], axis=None),
-                         (np.concatenate([position, position, nxt], axis=None),
-                          np.concatenate([position, nxt, position], axis=None))),
-                        shape=(2 * n_theta, 2 * n_theta))
-
-
-def _loop_product(diagonal, edge, w):
-    """The product of the matrix `_loop_matrix` lays out from the same
-    entries with one vector w over the boundary positions, by its loop
-    stencil."""
-    w = w.reshape(diagonal.shape)
-    product = diagonal * w
-    product += edge * np.roll(w, -1, axis=1)
-    product += np.roll(edge * w, 1, axis=1)
-    return product.ravel()

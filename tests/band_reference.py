@@ -1,5 +1,5 @@
 """Reference band packing for the solver tests, independent of the fold
-maps the solve packs its bands by (`mesher._folds`).
+maps the solve packs its bands by (`fem._folds`).
 
 `pack_band` packs the lower band of any symmetric COO matrix, summing
 duplicates, in the layout `linalg.lowest_pairs` factors; `solve_pencil`

@@ -28,14 +28,25 @@ class TestSpectrum:
     @pytest.mark.parametrize("eps", [0.05, 0.146721, 0.3, 0.7])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_branches_satisfy_coefficient_system(self, eps, n):
+        """Each branch's coefficients are a null vector of the 2×2 system,
+        for the Steklov condition (β = 0), where λ is the closed form, and
+        for the Wentzell condition β ∈ {0.1, 0.5}, where the tangential
+        term only adds to the Rayleigh quotient, so λ exceeds its β = 0
+        value."""
         for branch in ("minus", "plus"):
-            lam = steklov_eig(eps, n, branch)
-            pair = solve_coeffs(eps, n, 0.0, branch)
-            assert pair.lam == pytest.approx(lam, rel=1e-10)
-            r1, r2 = coeff_system_residual(eps, n, 0.0, lam, pair.a_k, pair.a_mk)
-            scale = max(abs(pair.a_k), abs(pair.a_mk)) * (1 + lam)
-            assert abs(r1) < 1e-10 * scale
-            assert abs(r2) < 1e-10 * scale / eps ** (n + 1)
+            steklov = steklov_eig(eps, n, branch)
+            for beta in (0.0, 0.1, 0.5):
+                pair = solve_coeffs(eps, n, beta, branch)
+                lam = pair.lam
+                if beta == 0.0:
+                    assert lam == pytest.approx(steklov, rel=1e-10)
+                    lam = steklov
+                else:
+                    assert lam > steklov
+                r1, r2 = coeff_system_residual(eps, n, beta, lam, pair.a_k, pair.a_mk)
+                scale = max(abs(pair.a_k), abs(pair.a_mk)) * (1 + lam)
+                assert abs(r1) < 1e-10 * scale
+                assert abs(r2) < 1e-10 * scale / eps ** (n + 1)
 
     def test_minus_below_plus(self):
         assert steklov_eig(0.3, 1, "minus") < steklov_eig(0.3, 1, "plus")

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from band_reference import pack_band
-from steklov_annulus import analytic, fem, mesher
+from steklov_annulus import analytic, fem
 from steklov_annulus.experiments import EPS0, TRANSLATION_TABLES
 from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
 from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, Circle,
@@ -128,13 +128,13 @@ class TestAssembly:
     def test_boundary_mass_total_is_polygonal_perimeter(self):
         mesh = build_annular_mesh(concentric(0.3), 256, 4)
         system = assemble(mesh)
-        total = system.boundary_mass.sum()
+        total = boundary_mass(system.mesh).sum()
         assert total == pytest.approx(TWO_PI * 1.3, rel=1e-4)
 
     def test_boundary_mass_matches_edge_loop(self):
         """The vectorized boundary mass equals the per-edge accumulation."""
         mesh = eccentric_mesh()
-        np.testing.assert_allclose(assemble(mesh).boundary_mass.toarray(),
+        np.testing.assert_allclose(boundary_mass(mesh).toarray(),
                                    reference_boundary_mass(mesh), rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("n_theta, n_radial", [(64, 8), (65, 7)])
@@ -150,12 +150,35 @@ class TestAssembly:
         mbb = reference_boundary_mass(mesh)
         np.testing.assert_allclose(system.stiffness.toarray(), k,
                                    rtol=0.0, atol=1e-14 * np.abs(k).max())
-        np.testing.assert_allclose(system.boundary_mass.toarray(), mbb,
+        np.testing.assert_allclose(boundary_mass(system.mesh).toarray(), mbb,
                                    rtol=0.0, atol=1e-14 * np.abs(mbb).max())
         dofs = mesh.boundary_vertices
         k[np.ix_(dofs, dofs)] += mbb
         np.testing.assert_allclose(system.shifted.toarray(), k,
                                    rtol=0.0, atol=1e-14 * np.abs(k).max())
+
+    @pytest.mark.parametrize("grading", [1.0, 1.15])
+    @pytest.mark.parametrize("name", ["cosine k=5", "eccentric"])
+    def test_shifted_holds_the_factored_boundary_mass(self, name, grading):
+        """The M_∂ inside the entries of K + M_∂ is exactly the M_bb whose
+        band the Lanczos factors: the entries equal those of K alone with
+        mass_entries added on rings 0 and N_r, the diagonal onto the vertex
+        entries and the loop edges onto the ring-edge entries, bit for bit,
+        and mass_entries are the entries of the COO M_bb.  On a mirrored
+        and an off-axis mesh, each graded and ungraded."""
+        domain, _ = ORACLE_DOMAINS[name]
+        mesh = build_annular_mesh(domain, 64, 8, grading=grading)
+        assert mesh.mirrored == (name == "cosine k=5")
+        system = assemble(mesh)
+        expected = system.stiffness.data[:system.entries.size].copy()  # K, in the held order
+        vertex, _, around, _, _ = fem._union_parts(expected, 64, 8)
+        diagonal, edge = system.mass_parts
+        for j, loop in ((0, 0), (-1, 1)):
+            vertex[j] += diagonal[loop]
+            around[j] += edge[loop]
+        np.testing.assert_array_equal(system.entries, expected)
+        np.testing.assert_array_equal(system.mass_entries,
+                                      boundary_mass(mesh).data[:system.mass_entries.size])
 
     @settings(max_examples=40, deadline=None)
     @given(n_theta=st.integers(16, 64), n_radial=st.integers(2, 6),
@@ -190,12 +213,12 @@ class TestAssembly:
         rng = np.random.default_rng(5)
         u = rng.standard_normal((len(mesh.vertices), 3))
         w = rng.standard_normal((2 * n_theta, 3))
-        pairs = [(np.column_stack([mesher._union_product(*system.parts, column)
+        pairs = [(np.column_stack([fem._union_product(*system.parts, column)
                                    for column in u.T]),
-                  mesher._union_matrix(*system.parts) @ u),
-                 (np.column_stack([mesher._loop_product(*system.mass_parts, column)
+                  fem._union_matrix(*system.parts) @ u),
+                 (np.column_stack([fem._loop_product(*system.mass_parts, column)
                                    for column in w.T]),
-                  mesher._loop_matrix(*system.mass_parts) @ w)]
+                  fem._loop_matrix(*system.mass_parts) @ w)]
         for product, reference in pairs:
             np.testing.assert_allclose(product, reference, rtol=0.0,
                                        atol=1e-13 * np.abs(reference).max())
@@ -291,7 +314,7 @@ class TestMetamorphic:
         (−d, 0) on the x-axis tables, (−d, d) and (d, −d) on the diagonal ones.
         The two meshes are congruent, but mirrored vertices get different
         numbers, and a diagonal hole is solved in one block, in the folded
-        θ-major band order of `mesher._folds`, which has no mirror symmetry
+        θ-major band order of `fem._folds`, which has no mirror symmetry
         (θ_i mirrors to θ_{N_θ−i}, the fold pairs it with θ_{N_θ−1−i}); so
         this also shows that the order does not bias the eigenvalues.
         `run_translation_table` solves only d ≤ 0 and relies on this at every
@@ -376,7 +399,7 @@ class TestMirrorHalves:
         mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
         assert mesh.mirrored
         system = assemble(mesh)
-        folds = mesher._folds(n_theta, n_radial, True)
+        folds = fem._folds(n_theta, n_radial, True)
         for fold, (label, sign) in zip(folds, reference_halves(n_theta, n_radial)):
             np.testing.assert_array_equal(fold.label, label)
             np.testing.assert_array_equal(fold.sign, sign)
@@ -385,7 +408,7 @@ class TestMirrorHalves:
             pairs = [(fold.stiffness.pack(system.entries),
                       generic_fold(system.shifted, label, sign, label.max() + 1)),
                      (fold.mass.pack(system.mass_entries),
-                      generic_fold(system.boundary_mass, position,
+                      generic_fold(boundary_mass(system.mesh), position,
                                    sign[system.boundary_dofs], len(half_dofs)))]
             for band, reference in pairs:
                 assert band.shape == reference.shape
@@ -402,7 +425,7 @@ class TestMirrorHalves:
         off_axis = build_annular_mesh(ORACLE_DOMAINS["graded"][0], n_theta, n_radial)
         assert not off_axis.mirrored
         whole_system = assemble(off_axis)
-        (whole,) = mesher._folds(n_theta, n_radial, False)
+        (whole,) = fem._folds(n_theta, n_radial, False)
         n, dofs = len(off_axis.vertices), whole_system.boundary_dofs
         label = reference_whole(n_theta, n_radial)
         np.testing.assert_array_equal(whole.label, label)
@@ -412,7 +435,7 @@ class TestMirrorHalves:
         pairs = [(whole.stiffness.pack(whole_system.entries),
                   generic_fold(whole_system.shifted, label, np.ones(n), n)),
                  (whole.mass.pack(whole_system.mass_entries),
-                  generic_fold(whole_system.boundary_mass, rank, np.ones(len(dofs)), len(dofs)))]
+                  generic_fold(boundary_mass(whole_system.mesh), rank, np.ones(len(dofs)), len(dofs)))]
         for band, reference in pairs:
             np.testing.assert_array_equal(band, reference)
         assert np.bincount(whole.stiffness.slot).max() == np.bincount(whole.mass.slot).max() == 1
@@ -420,12 +443,12 @@ class TestMirrorHalves:
         assert whole.mass.shape == (2 * n_theta, 5)
         assert_read_only(whole)
 
-        misses = mesher._folds.cache_info().misses
+        misses = fem._folds.cache_info().misses
         solve_spectrum(system, 3)
         solve_spectrum(whole_system, 3)
-        assert mesher._folds(n_theta, n_radial, True) is folds
-        assert mesher._folds(n_theta, n_radial, False)[0] is whole
-        assert mesher._folds.cache_info().misses == misses
+        assert fem._folds(n_theta, n_radial, True) is folds
+        assert fem._folds(n_theta, n_radial, False)[0] is whole
+        assert fem._folds.cache_info().misses == misses
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["concentric", "x-axis", "cosine", "graded"]),
@@ -458,7 +481,7 @@ class TestMirrorHalves:
         lams, _ = fem._solve_folds(system, count, halves=False)
         np.testing.assert_allclose(spectrum.eigenvalues, lams, rtol=1e-12, atol=1e-12 * lams[-1])
         v = spectrum.boundary_vectors
-        np.testing.assert_allclose(v.T @ system.boundary_mass @ v, np.eye(count), atol=1e-10)
+        np.testing.assert_allclose(v.T @ boundary_mass(system.mesh) @ v, np.eye(count), atol=1e-10)
 
     def test_two_half_width_factors(self, monkeypatch):
         """A concentric 256×24 solve factors exactly two half pencils, each
@@ -491,18 +514,18 @@ class TestMirrorHalves:
             return real_dpbtrf(ab, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", recorded_dpbtrf)
-        mesher._folds.cache_clear()
+        fem._folds.cache_clear()
         off_axis, _ = ORACLE_DOMAINS["eccentric"]
         solve_domain(off_axis, 256, 24, count=3)
         assert sorted(shapes) == [(5, 512), (2 * 24 + 4, 256 * 25)]
-        assert mesher._folds.cache_info().misses == 1
+        assert fem._folds.cache_info().misses == 1
         solve_domain(off_axis, 256, 24, count=3)
-        assert mesher._folds.cache_info().misses == 1
+        assert fem._folds.cache_info().misses == 1
         solve_domain(concentric(0.3), 256, 24, count=3)
-        info = mesher._folds.cache_info()
+        info = fem._folds.cache_info()
         assert info.misses == 2 and info.currsize == 2
-        assert len(mesher._folds(256, 24, True)) == 2
-        assert len(mesher._folds(256, 24, False)) == 1
+        assert len(fem._folds(256, 24, True)) == 2
+        assert len(fem._folds(256, 24, False)) == 1
 
     def test_concentric_traces_have_parity(self):
         """Every concentric trace is exactly even or exactly odd under

@@ -48,13 +48,13 @@ def relabel(system, label):
     vertex v renamed label[v]."""
     k = system.shifted.tocoo()
     shifted = sp.csc_matrix((k.data, (label[k.row], label[k.col])), shape=k.shape)
-    return shifted, system.boundary_mass, label[system.boundary_dofs]
+    return shifted, boundary_mass(system.mesh), label[system.boundary_dofs]
 
 
 def folded_labels(mesh):
     """Number of each mesh vertex in the folded θ-major band order the
     one-block solve packs K + M_∂ in: the label of the whole fold."""
-    return mesher._folds(mesh.n_theta, mesh.n_radial, False)[0].label
+    return fem._folds(mesh.n_theta, mesh.n_radial, False)[0].label
 
 
 def dense_dtn(system):
@@ -69,7 +69,7 @@ def dense_dtn(system):
 
 def dense_reference(system):
     """Eigenvalues of S against the boundary mass, densely."""
-    return scipy.linalg.eigh(dense_dtn(system), system.boundary_mass.toarray(),
+    return scipy.linalg.eigh(dense_dtn(system), boundary_mass(system.mesh).toarray(),
                              eigvals_only=True)
 
 
@@ -91,7 +91,7 @@ class TestDenseDirichletToNeumann:
         interior, formed densely: S·v = λ·M_∂·v."""
         lams, vecs = eigs(eccentric, 6)
         s = dense_dtn(eccentric)
-        m = eccentric.boundary_mass.toarray()
+        m = boundary_mass(eccentric.mesh).toarray()
         np.testing.assert_allclose(s @ vecs, m @ vecs @ np.diag(lams),
                                    rtol=0.0, atol=1e-10 * np.abs(s).max())
 
@@ -103,7 +103,7 @@ class TestSmallestEigenpairs:
         just above the j-th, so no eigenvalue below is skipped."""
         lams, _ = eigs(eccentric, 6)
         s = dense_dtn(eccentric)
-        m = eccentric.boundary_mass.toarray()
+        m = boundary_mass(eccentric.mesh).toarray()
         for j, lam in enumerate(lams, start=1):
             delta = 1e-8 * (1.0 + lam)
             below, _ = np.linalg.slogdet(s - (lam - delta) * m)
@@ -119,7 +119,7 @@ class TestSmallestEigenpairs:
         assert abs(lams[0]) < 1e-10
         np.testing.assert_allclose(lams[1:], ref[1:6], rtol=1e-10)
         assert np.all(np.diff(lams) > 0)
-        np.testing.assert_allclose(vecs.T @ eccentric.boundary_mass @ vecs, np.eye(6),
+        np.testing.assert_allclose(vecs.T @ boundary_mass(eccentric.mesh) @ vecs, np.eye(6),
                                    atol=1e-10)
 
     def test_concentric_double_eigenvalue(self):
@@ -157,7 +157,7 @@ class TestSmallestEigenpairs:
         its M_∂-orthogonal projector V·Vᵀ·M_∂ equals the dense one."""
         spec = solve_domain(annulus(0.3), 64, 8, count=3)
         system = assemble(spec.mesh)
-        m = system.boundary_mass.toarray()
+        m = boundary_mass(system.mesh).toarray()
         _, ref = scipy.linalg.eigh(dense_dtn(system), m)
         v, w = spec.boundary_vectors[:, 1:3], ref[:, 1:3]
         np.testing.assert_allclose(v @ v.T @ m, w @ w.T @ m, rtol=0.0, atol=1e-8)
@@ -314,7 +314,7 @@ class TestEliminationOrder:
         except MeshingError:
             assume(False)
         shifted = assemble(mesh).shifted.tocoo()
-        (whole,) = mesher._folds(n_theta, n_radial, False)
+        (whole,) = fem._folds(n_theta, n_radial, False)
         label = whole.label
         assert np.max(np.abs(label[shifted.row] - label[shifted.col])) <= 2 * n_radial + 3
         assert whole.stiffness.shape == (len(mesh.vertices), 2 * n_radial + 4)
@@ -330,20 +330,20 @@ class TestEliminationOrder:
         repeat exactly; the inner loop is ring 0 and the outer loop ring
         N_r.  The assembled K + M_∂ repeats as well."""
         n = eccentric.shifted.shape[0]
-        (whole,) = mesher._folds(32, 4, False)
+        (whole,) = fem._folds(32, 4, False)
         label = whole.label
         np.testing.assert_array_equal(np.sort(label), np.arange(n))
         assert whole.stiffness.shape == (n, 2 * 4 + 4)
-        np.testing.assert_array_equal(mesher._folds.__wrapped__(32, 4, False)[0].label, label)
+        np.testing.assert_array_equal(fem._folds.__wrapped__(32, 4, False)[0].label, label)
         np.testing.assert_array_equal(eccentric.mesh.inner_loop, np.arange(32))
         np.testing.assert_array_equal(eccentric.mesh.outer_loop, 4 * 32 + np.arange(32))
         shifted = eccentric.shifted
         env = dict(os.environ, PYTHONPATH=str(Path(mesher.__file__).resolve().parents[1]))
         fresh = subprocess.run(
             [sys.executable, "-c",
-             "from steklov_annulus.fem import assemble;"
+             "from steklov_annulus.fem import _folds, assemble;"
              " from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle;"
-             " from steklov_annulus.mesher import _folds, build_annular_mesh;"
+             " from steklov_annulus.mesher import build_annular_mesh;"
              " s = assemble(build_annular_mesh(AnnularDomain("
              "outer=Circle(radius=1.0, orientation=OUTER), inner=Circle(radius=0.3,"
              " center=(0.25, 0.1), orientation=INNER)), 32, 4)).shifted;"
@@ -481,7 +481,7 @@ class TestEliminationOrder:
 
     def test_solve_builds_no_sparse_matrix(self, monkeypatch):
         """Neither route builds a scipy.sparse matrix: with coo_array,
-        `mesher._union_matrix` and `mesher._loop_matrix` refusing to run, a
+        `fem._union_matrix` and `fem._loop_matrix` refusing to run, a
         mirrored and an off-axis mesh still solve, and to the same
         eigenvalues."""
         domains = (annulus(0.3), annulus(0.3, center=(0.25, 0.1)))
@@ -491,9 +491,8 @@ class TestEliminationOrder:
             raise AssertionError("the solve built a sparse matrix")
 
         monkeypatch.setattr(sp, "coo_array", refuse)
-        for module in (mesher, fem):
-            monkeypatch.setattr(module, "_union_matrix", refuse)
-            monkeypatch.setattr(module, "_loop_matrix", refuse)
+        monkeypatch.setattr(fem, "_union_matrix", refuse)
+        monkeypatch.setattr(fem, "_loop_matrix", refuse)
         assert [build_annular_mesh(domain, 64, 8).mirrored for domain in domains] == [True, False]
         for domain, lams in zip(domains, expected):
             np.testing.assert_array_equal(solve_domain(domain, 64, 8, count=3).eigenvalues, lams)
