@@ -14,12 +14,12 @@ contains the stiffness graph of every mesh of the resolution: the
 diagonal, then the radial, ring, ac and bd edges (`_union_parts` gives
 their views).  M_bb is held as its diagonal and loop-edge entries.
 `_union_product` and `_loop_product` apply them to a vector by slices and
-rolls in ring space; no sparse matrix is formed on the way to the
-eigenvalues.  On request `_union_matrix` lays the entries out on the
-vertex numbers as a symmetric COO matrix, each position once, the first
-V + E of them in the order they are held, the diagonal a quad does not
-take an explicit zero inside the band; `_loop_matrix` does the same for
-M_bb.
+rolls in ring space; apart from the band factors inside the solve, no
+other form of either is made.  `_union_matrix` lays the entries out on
+the vertex numbers as a symmetric COO matrix, each position once, the
+first V + E of them in the order they are held, the diagonal a quad does
+not take an explicit zero inside the band: the one COO layout, kept only
+for `AssembledSystem.stiffness`, which the benchmark's dof counter reads.
 
 `linalg` factors K + M_∂ not in the mesh numbering but in a fold of it,
 written only in `_folds`, which works out once per resolution where each
@@ -36,16 +36,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import AnnularDomain
 from .linalg import check_residual, lowest_pairs
 from .mesher import Mesh, _corners, _quad_sides, _twice_areas, build_annular_mesh
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class AssembledSystem:
     in the order `_union_matrix` lays out its first V + E entries (`parts`
     gives its ring-space views); mass_entries holds M_bb over
     boundary_dofs, its diagonal (2, N_θ) and then its loop edges (2, N_θ),
-    flat.
+    flat.  `stiffness` is the one COO accessor.
     """
 
     entries: np.ndarray
@@ -80,13 +76,9 @@ class AssembledSystem:
         return tuple(self.mass_entries.reshape(2, 2, -1))
 
     @property
-    def shifted(self) -> sp.coo_array:
-        """K + M_∂ as a COO matrix, laid out by `_union_matrix`."""
-        return _union_matrix(*self.parts)
-
-    @property
-    def stiffness(self) -> sp.coo_array:
-        """K alone, on the same stencil: the entries `assemble` adds M_bb to."""
+    def stiffness(self):
+        """K alone as a COO matrix laid out by `_union_matrix`: the entries
+        `assemble` adds M_bb to.  Only the benchmark's dof counter reads it."""
         mesh = self.mesh
         return _union_matrix(*_union_parts(_assemble(mesh), mesh.n_theta, mesh.n_radial))
 
@@ -175,20 +167,14 @@ def _assemble(mesh):
 
 def _loop_entries(mesh):
     """The entries of M_bb, flat: diagonal (2, N_θ), then edge (2, N_θ)
-    coupling θ column i of a loop to column i+1 (`_loop_matrix`)."""
+    coupling θ column i of a loop to column i+1.  M_bb has no matrix form;
+    `_loop_product` applies these."""
     loops = mesh.ring[:, [0, -1]]
     lengths = np.linalg.norm(np.roll(loops, -1, axis=2) - loops, axis=0)
     third = lengths / 3.0
     entries = np.stack([third + np.roll(third, 1, axis=1), lengths / 6.0]).ravel()
     entries.setflags(write=False)
     return entries
-
-
-def boundary_mass(mesh: Mesh) -> sp.coo_array:
-    """P1 boundary mass over the boundary loops, inner then outer, as a COO
-    matrix laid out by `_loop_matrix`; rows and columns are positions in
-    `mesh.boundary_vertices`."""
-    return _loop_matrix(*_loop_entries(mesh).reshape(2, 2, -1))
 
 
 def _stencil(n_theta, n_radial):
@@ -219,7 +205,7 @@ def _union_matrix(vertex, radial, around, on_ac, on_bd):
     on_ac and on_bd (N_r, N_θ) are the quad diagonals (j, i)–(j+1, i+1) and
     (j+1, i)–(j, i+1).  The diagonal comes first, then every edge (p, q) in
     `_stencil` order, then every (q, p): `_folds` reads the first
-    V + E entries.
+    V + E entries.  Only `AssembledSystem.stiffness` calls it.
     """
     import scipy.sparse as sp
 
@@ -249,32 +235,10 @@ def _union_product(vertex, radial, around, on_ac, on_bd, u):
     return y.ravel()
 
 
-def _loop_stencil(n_theta):
-    """Every boundary position (2, N_θ), inner loop then outer loop, and the
-    position after it on its loop."""
-    position = np.arange(2 * n_theta).reshape(2, n_theta)
-    return position, np.roll(position, -1, axis=1)
-
-
-def _loop_matrix(diagonal, edge):
-    """The symmetric COO matrix over the boundary positions, inner loop
-    (0 … N_θ−1) then outer loop, with diagonal (2, N_θ) and edge (2, N_θ)
-    coupling θ column i of a loop to column i+1; laid out like
-    `_union_matrix`, the diagonal, every (i, i+1), then every (i+1, i)."""
-    import scipy.sparse as sp
-
-    n_theta = diagonal.shape[1]
-    position, nxt = _loop_stencil(n_theta)
-    return sp.coo_array((np.concatenate([diagonal, edge, edge], axis=None),
-                         (np.concatenate([position, position, nxt], axis=None),
-                          np.concatenate([position, nxt, position], axis=None))),
-                        shape=(2 * n_theta, 2 * n_theta))
-
-
 def _loop_product(diagonal, edge, w):
-    """The product of the matrix `_loop_matrix` lays out from the same
-    entries with one vector w over the boundary positions, by its loop
-    stencil."""
+    """The product of M_bb, given as its diagonal (2, N_θ) and its loop
+    edges (2, N_θ), with one vector w over the boundary positions, inner
+    loop (0 … N_θ−1) then outer loop, by its loop stencil."""
     w = w.reshape(diagonal.shape)
     product = diagonal * w
     product += edge * np.roll(w, -1, axis=1)
@@ -334,7 +298,8 @@ class _Fold:
     sign·u_fold[label].  boundary lists the fold numbers of the boundary
     vertices, ascending, the order in which its M_bb is a band.  stiffness
     folds K + M_∂ from its union-stencil triplets into the fold's band,
-    mass folds M_bb from its loop triplets into the band over boundary.
+    mass folds M_bb from its diagonal and loop-edge entries into the band
+    over boundary.
     """
 
     label: np.ndarray
@@ -384,9 +349,10 @@ def _folds(n_theta, n_radial, halves):
         by_column = ((slot, np.ones(n_theta)),)
     ends = (np.concatenate([number, *p], axis=None), np.concatenate([number, *q], axis=None))
     loops = number[[0, -1]].ravel()  # the boundary vertices, inner loop then outer loop
-    position, nxt = _loop_stencil(n_theta)
+    # every boundary position, inner loop then outer loop, and the position after it
+    position = np.arange(2 * n_theta).reshape(2, n_theta)
     loop_ends = (np.concatenate([position, position], axis=None),
-                 np.concatenate([position, nxt], axis=None))
+                 np.concatenate([position, np.roll(position, -1, axis=1)], axis=None))
     folds = []
     for fold_column, column_sign in by_column:
         # vertex (j, i) lands on fold number fold_column[i]·(N_r+1) + j

@@ -28,7 +28,7 @@ place once per fold: its flat storage read backwards is the upper band
 storage of Ũ = P·L·P, P the reversal of the vertex order, and
 P·(K + M_∂)·P = Ũ·Ũᵀ.  Each solve scatters its right-hand side onto the
 reversed boundary positions n − 1 − boundary_dofs and runs Ũ·z = b, then
-Ũᵀ·x = z.  `mesher._folds` orders the vertices so that the band of
+Ũᵀ·x = z.  `fem._folds` orders the vertices so that the band of
 K + M_∂ is 2N_r + 3 wide on the whole mesh and N_r + 2 on a mirror half;
 this module makes no ordering choice itself.
 One more block solve lifts the converged traces to full vertex vectors

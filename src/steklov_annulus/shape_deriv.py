@@ -26,7 +26,7 @@ import numpy as np
 from . import analytic
 from .geometry import (INNER, OUTER, TWO_PI, AnnularDomain, BoundaryCurve, Circle,
                        CosinePerturbedCircle, PerturbationField)
-from .fem import boundary_mass, solve_domain
+from .fem import _loop_entries, _loop_product, solve_domain
 from .mesher import radial_grading
 
 
@@ -247,7 +247,9 @@ def fd_branch_oracle(domain: AnnularDomain, field: PerturbationField, step: floa
     # share topology and differ by O(step)
     vp = plus.boundary_vectors[:, 1:3]
     vm = minus.boundary_vectors[:, 1:3]
-    overlap = np.abs(vp.T @ (boundary_mass(plus.mesh) @ vm))
+    diagonal, edge = _loop_entries(plus.mesh).reshape(2, 2, -1)
+    overlap = np.abs(vp.T @ np.column_stack([_loop_product(diagonal, edge, column)
+                                             for column in vm.T]))
     perm = overlap.argmax(axis=1)
 
     lam_p = plus.eigenvalues[1:3]

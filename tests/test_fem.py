@@ -7,10 +7,10 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from band_reference import pack_band
+from band_reference import held_boundary_mass, pack_band, reference_boundary_mass, shifted_matrix
 from steklov_annulus import analytic, fem
 from steklov_annulus.experiments import EPS0, TRANSLATION_TABLES
-from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
+from steklov_annulus.fem import assemble, solve_domain, solve_spectrum
 from steklov_annulus.geometry import (INNER, OUTER, AnnularDomain, Circle,
                                       CosinePerturbedCircle, amplitude_for_perimeter)
 from steklov_annulus.linalg import EigensolveError
@@ -46,21 +46,6 @@ def reference_stiffness(mesh):
     k = np.zeros((n, n))
     np.add.at(k, (np.repeat(tris, 3, axis=1), np.tile(tris, (1, 3))), ke.reshape(-1, 9))
     return k
-
-
-def reference_boundary_mass(mesh):
-    """M_bb accumulated edge by edge over both loops, densely, in
-    boundary_vertices order."""
-    dofs = mesh.boundary_vertices
-    pos = {int(d): i for i, d in enumerate(dofs)}
-    ref = np.zeros((len(dofs), len(dofs)))
-    for loop in (mesh.inner_loop, mesh.outer_loop):
-        for v0, v1 in zip(loop, np.roll(loop, -1)):
-            ell = np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0])
-            i, j = pos[int(v0)], pos[int(v1)]
-            ref[[i, j], [i, j]] += ell / 3.0
-            ref[[i, j], [j, i]] += ell / 6.0
-    return ref
 
 
 def perturbed(k):
@@ -117,7 +102,7 @@ class TestAssembly:
         monkeypatch.setattr(Mesh, "vertices", property(refuse))
         monkeypatch.setattr(Mesh, "triangles", property(refuse))
         spectrum = solve_domain(concentric(0.3), 32, 4)
-        assert boundary_mass(spectrum.mesh).shape == (64, 64)
+        assert fem._loop_entries(spectrum.mesh).shape == (4 * 32,)
 
     def test_stiffness_kernel_is_constants(self):
         mesh = build_annular_mesh(concentric(0.3), 32, 4)
@@ -128,13 +113,14 @@ class TestAssembly:
     def test_boundary_mass_total_is_polygonal_perimeter(self):
         mesh = build_annular_mesh(concentric(0.3), 256, 4)
         system = assemble(mesh)
-        total = boundary_mass(system.mesh).sum()
+        total = fem._loop_product(*system.mass_parts, np.ones(2 * 256)).sum()
         assert total == pytest.approx(TWO_PI * 1.3, rel=1e-4)
 
     def test_boundary_mass_matches_edge_loop(self):
-        """The vectorized boundary mass equals the per-edge accumulation."""
+        """The vectorized boundary mass, held as `_loop_entries` and applied
+        by `_loop_product`, equals the per-edge accumulation."""
         mesh = eccentric_mesh()
-        np.testing.assert_allclose(boundary_mass(mesh).toarray(),
+        np.testing.assert_allclose(held_boundary_mass(assemble(mesh)),
                                    reference_boundary_mass(mesh), rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("n_theta, n_radial", [(64, 8), (65, 7)])
@@ -150,11 +136,11 @@ class TestAssembly:
         mbb = reference_boundary_mass(mesh)
         np.testing.assert_allclose(system.stiffness.toarray(), k,
                                    rtol=0.0, atol=1e-14 * np.abs(k).max())
-        np.testing.assert_allclose(boundary_mass(system.mesh).toarray(), mbb,
+        np.testing.assert_allclose(held_boundary_mass(system), mbb,
                                    rtol=0.0, atol=1e-14 * np.abs(mbb).max())
         dofs = mesh.boundary_vertices
         k[np.ix_(dofs, dofs)] += mbb
-        np.testing.assert_allclose(system.shifted.toarray(), k,
+        np.testing.assert_allclose(shifted_matrix(system).toarray(), k,
                                    rtol=0.0, atol=1e-14 * np.abs(k).max())
 
     @pytest.mark.parametrize("grading", [1.0, 1.15])
@@ -164,8 +150,8 @@ class TestAssembly:
         band the Lanczos factors: the entries equal those of K alone with
         mass_entries added on rings 0 and N_r, the diagonal onto the vertex
         entries and the loop edges onto the ring-edge entries, bit for bit,
-        and mass_entries are the entries of the COO M_bb.  On a mirrored
-        and an off-axis mesh, each graded and ungraded."""
+        and mass_entries are the entries `_loop_entries` gives the mesh.
+        On a mirrored and an off-axis mesh, each graded and ungraded."""
         domain, _ = ORACLE_DOMAINS[name]
         mesh = build_annular_mesh(domain, 64, 8, grading=grading)
         assert mesh.mirrored == (name == "cosine k=5")
@@ -177,8 +163,7 @@ class TestAssembly:
             vertex[j] += diagonal[loop]
             around[j] += edge[loop]
         np.testing.assert_array_equal(system.entries, expected)
-        np.testing.assert_array_equal(system.mass_entries,
-                                      boundary_mass(mesh).data[:system.mass_entries.size])
+        np.testing.assert_array_equal(system.mass_entries, fem._loop_entries(mesh))
 
     @settings(max_examples=40, deadline=None)
     @given(n_theta=st.integers(16, 64), n_radial=st.integers(2, 6),
@@ -202,10 +187,10 @@ class TestAssembly:
     @pytest.mark.parametrize("name", ["graded", "cosine k=5"])
     def test_ring_stencils_match_union_layout(self, name, n_theta, n_radial):
         """The ring stencils by which the solve applies K + M_∂ and M_bb
-        give the products of the matrices `_union_matrix` and `_loop_matrix`
-        lay out from the same entries, to 1e-13 of the largest entry, on
-        three random columns: on an off-axis and a mirrored mesh, with even
-        and odd N_θ, which covers the wrap of the θ rolls."""
+        give the products of the matrix `_union_matrix` lays out from the
+        same entries and of the per-edge M_bb, to 1e-13 of the largest
+        entry, on three random columns: on an off-axis and a mirrored mesh,
+        with even and odd N_θ, which covers the wrap of the θ rolls."""
         domain, grading = ORACLE_DOMAINS[name]
         mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
         assert mesh.mirrored == (name == "cosine k=5")
@@ -218,7 +203,7 @@ class TestAssembly:
                   fem._union_matrix(*system.parts) @ u),
                  (np.column_stack([fem._loop_product(*system.mass_parts, column)
                                    for column in w.T]),
-                  fem._loop_matrix(*system.mass_parts) @ w)]
+                  reference_boundary_mass(mesh) @ w)]
         for product, reference in pairs:
             np.testing.assert_allclose(product, reference, rtol=0.0,
                                        atol=1e-13 * np.abs(reference).max())
@@ -406,9 +391,9 @@ class TestMirrorHalves:
             half_dofs, position = np.unique(label[system.boundary_dofs], return_inverse=True)
             np.testing.assert_array_equal(fold.boundary, half_dofs)
             pairs = [(fold.stiffness.pack(system.entries),
-                      generic_fold(system.shifted, label, sign, label.max() + 1)),
+                      generic_fold(shifted_matrix(system), label, sign, label.max() + 1)),
                      (fold.mass.pack(system.mass_entries),
-                      generic_fold(boundary_mass(system.mesh), position,
+                      generic_fold(held_boundary_mass(system), position,
                                    sign[system.boundary_dofs], len(half_dofs)))]
             for band, reference in pairs:
                 assert band.shape == reference.shape
@@ -433,9 +418,10 @@ class TestMirrorHalves:
         np.testing.assert_array_equal(whole.boundary, np.sort(label[dofs]))
         rank = np.argsort(np.argsort(label[dofs]))
         pairs = [(whole.stiffness.pack(whole_system.entries),
-                  generic_fold(whole_system.shifted, label, np.ones(n), n)),
+                  generic_fold(shifted_matrix(whole_system), label, np.ones(n), n)),
                  (whole.mass.pack(whole_system.mass_entries),
-                  generic_fold(boundary_mass(whole_system.mesh), rank, np.ones(len(dofs)), len(dofs)))]
+                  generic_fold(held_boundary_mass(whole_system), rank, np.ones(len(dofs)),
+                               len(dofs)))]
         for band, reference in pairs:
             np.testing.assert_array_equal(band, reference)
         assert np.bincount(whole.stiffness.slot).max() == np.bincount(whole.mass.slot).max() == 1
@@ -481,7 +467,8 @@ class TestMirrorHalves:
         lams, _ = fem._solve_folds(system, count, halves=False)
         np.testing.assert_allclose(spectrum.eigenvalues, lams, rtol=1e-12, atol=1e-12 * lams[-1])
         v = spectrum.boundary_vectors
-        np.testing.assert_allclose(v.T @ boundary_mass(system.mesh) @ v, np.eye(count), atol=1e-10)
+        np.testing.assert_allclose(v.T @ reference_boundary_mass(system.mesh) @ v, np.eye(count),
+                                   atol=1e-10)
 
     def test_two_half_width_factors(self, monkeypatch):
         """A concentric 256×24 solve factors exactly two half pencils, each

@@ -78,3 +78,61 @@ def f(x: "sp.coo_array"):
     return os.path.join(x)
 '''
     assert unused_imports(source) == [(3, "functools"), (6, "unused")]
+
+
+def is_sparse_constructor(name):
+    """coo_array, coo_matrix and every csr_* and csc_* name of scipy.sparse."""
+    return name in ("coo_array", "coo_matrix") or name.startswith(("csr_", "csc_"))
+
+
+def sparse_constructors(source, allowed=()):
+    """The scipy.sparse matrix constructors the source names, as (line,
+    name), outside the functions named in allowed: attribute reads such as
+    `sp.coo_array`, bare names and `from scipy.sparse import` aliases."""
+    tree = ast.parse(source)
+    skipped = {id(node) for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef) and function.name in allowed
+               for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        found += [(node.lineno, name) for name in names if is_sparse_constructor(name)]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_no_sparse_matrix_outside_union_matrix(module):
+    """The package applies K + M_∂ and M_bb by their ring stencils; the one
+    sparse matrix it can build is the COO layout of `fem._union_matrix`."""
+    allowed = ("_union_matrix",) if module == "fem.py" else ()
+    assert sparse_constructors((PACKAGE / module).read_text(), allowed) == []
+
+
+def test_sparse_check_reports_constructors():
+    """The check names a constructor read as an attribute, imported by name
+    or called bare, and passes over one inside an allowed function."""
+    source = '''
+import scipy.sparse as sp
+from scipy.sparse import csc_array
+
+
+def _union_matrix(a):
+    return sp.coo_array(a)
+
+
+def boundary_mass(a):
+    return sp.csr_matrix(csc_array(a))
+'''
+    assert sparse_constructors(source, ("_union_matrix",)) == [
+        (3, "csc_array"), (11, "csc_array"), (11, "csr_matrix")]
+    assert sparse_constructors(source) == [
+        (3, "csc_array"), (7, "coo_array"), (11, "csc_array"), (11, "csr_matrix")]

@@ -18,12 +18,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from band_reference import solve_pencil
+from band_reference import (held_boundary_mass, reference_boundary_mass, shifted_matrix,
+                            solve_pencil)
 from steklov_annulus import analytic, fem, linalg, mesher
-from steklov_annulus.fem import assemble, boundary_mass, solve_domain, solve_spectrum
-from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle
+from steklov_annulus.fem import assemble, solve_domain, solve_spectrum
+from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle, PerturbationField
 from steklov_annulus.linalg import EigensolveError, lowest_pairs
 from steklov_annulus.mesher import MeshingError, build_annular_mesh
+from steklov_annulus.shape_deriv import fd_branch_oracle
 
 
 def annulus(radius, center=(0.0, 0.0)):
@@ -46,9 +48,9 @@ def with_entries(system, data):
 def relabel(system, label):
     """K + M_∂, boundary mass and boundary dofs of the same system with
     vertex v renamed label[v]."""
-    k = system.shifted.tocoo()
+    k = shifted_matrix(system)
     shifted = sp.csc_matrix((k.data, (label[k.row], label[k.col])), shape=k.shape)
-    return shifted, boundary_mass(system.mesh), label[system.boundary_dofs]
+    return shifted, held_boundary_mass(system), label[system.boundary_dofs]
 
 
 def folded_labels(mesh):
@@ -69,7 +71,7 @@ def dense_dtn(system):
 
 def dense_reference(system):
     """Eigenvalues of S against the boundary mass, densely."""
-    return scipy.linalg.eigh(dense_dtn(system), boundary_mass(system.mesh).toarray(),
+    return scipy.linalg.eigh(dense_dtn(system), reference_boundary_mass(system.mesh),
                              eigvals_only=True)
 
 
@@ -91,7 +93,7 @@ class TestDenseDirichletToNeumann:
         interior, formed densely: S·v = λ·M_∂·v."""
         lams, vecs = eigs(eccentric, 6)
         s = dense_dtn(eccentric)
-        m = boundary_mass(eccentric.mesh).toarray()
+        m = reference_boundary_mass(eccentric.mesh)
         np.testing.assert_allclose(s @ vecs, m @ vecs @ np.diag(lams),
                                    rtol=0.0, atol=1e-10 * np.abs(s).max())
 
@@ -103,7 +105,7 @@ class TestSmallestEigenpairs:
         just above the j-th, so no eigenvalue below is skipped."""
         lams, _ = eigs(eccentric, 6)
         s = dense_dtn(eccentric)
-        m = boundary_mass(eccentric.mesh).toarray()
+        m = reference_boundary_mass(eccentric.mesh)
         for j, lam in enumerate(lams, start=1):
             delta = 1e-8 * (1.0 + lam)
             below, _ = np.linalg.slogdet(s - (lam - delta) * m)
@@ -119,8 +121,8 @@ class TestSmallestEigenpairs:
         assert abs(lams[0]) < 1e-10
         np.testing.assert_allclose(lams[1:], ref[1:6], rtol=1e-10)
         assert np.all(np.diff(lams) > 0)
-        np.testing.assert_allclose(vecs.T @ boundary_mass(eccentric.mesh) @ vecs, np.eye(6),
-                                   atol=1e-10)
+        np.testing.assert_allclose(vecs.T @ reference_boundary_mass(eccentric.mesh) @ vecs,
+                                   np.eye(6), atol=1e-10)
 
     def test_concentric_double_eigenvalue(self):
         """Both copies of the double λ₁ come back, trace-normalized and with
@@ -129,7 +131,8 @@ class TestSmallestEigenpairs:
         lam1, lam2 = spec.eigenvalues[1:3]
         assert abs(lam2 - lam1) < 1e-10 * lam1
         v = spec.boundary_vectors
-        np.testing.assert_allclose(v.T @ boundary_mass(spec.mesh) @ v, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(v.T @ reference_boundary_mass(spec.mesh) @ v, np.eye(3),
+                                   atol=1e-10)
         outer_start = np.nonzero(spec.boundary_dofs == spec.mesh.outer_loop[0])[0][0]
         assert np.all(v[outer_start, :] >= 0.0)
 
@@ -157,7 +160,7 @@ class TestSmallestEigenpairs:
         its M_∂-orthogonal projector V·Vᵀ·M_∂ equals the dense one."""
         spec = solve_domain(annulus(0.3), 64, 8, count=3)
         system = assemble(spec.mesh)
-        m = boundary_mass(system.mesh).toarray()
+        m = reference_boundary_mass(system.mesh)
         _, ref = scipy.linalg.eigh(dense_dtn(system), m)
         v, w = spec.boundary_vectors[:, 1:3], ref[:, 1:3]
         np.testing.assert_allclose(v @ v.T @ m, w @ w.T @ m, rtol=0.0, atol=1e-8)
@@ -284,7 +287,7 @@ class TestEliminationOrder:
         ring order, where the bd diagonals wrap, nearly n at random), which
         costs time, not accuracy; all three are packed by the reference
         packer, not a fold map."""
-        n = eccentric.shifted.shape[0]
+        n = len(eccentric.mesh.vertices)
         ref_lams, ref_vecs = eigs(eccentric, 6)
         assert np.all(np.diff(ref_lams) > 1e-3)  # simple; the closest pair is λ₃, λ₄
         for label in (np.arange(n), folded_labels(eccentric.mesh),
@@ -313,7 +316,7 @@ class TestEliminationOrder:
             mesh = build_annular_mesh(domain, n_theta, n_radial, grading=grading)
         except MeshingError:
             assume(False)
-        shifted = assemble(mesh).shifted.tocoo()
+        shifted = shifted_matrix(assemble(mesh))
         (whole,) = fem._folds(n_theta, n_radial, False)
         label = whole.label
         assert np.max(np.abs(label[shifted.row] - label[shifted.col])) <= 2 * n_radial + 3
@@ -329,7 +332,7 @@ class TestEliminationOrder:
         equal when built again and in a fresh interpreter, so that runs
         repeat exactly; the inner loop is ring 0 and the outer loop ring
         N_r.  The assembled K + M_∂ repeats as well."""
-        n = eccentric.shifted.shape[0]
+        n = len(eccentric.mesh.vertices)
         (whole,) = fem._folds(32, 4, False)
         label = whole.label
         np.testing.assert_array_equal(np.sort(label), np.arange(n))
@@ -337,16 +340,16 @@ class TestEliminationOrder:
         np.testing.assert_array_equal(fem._folds.__wrapped__(32, 4, False)[0].label, label)
         np.testing.assert_array_equal(eccentric.mesh.inner_loop, np.arange(32))
         np.testing.assert_array_equal(eccentric.mesh.outer_loop, 4 * 32 + np.arange(32))
-        shifted = eccentric.shifted
+        shifted = shifted_matrix(eccentric)
         env = dict(os.environ, PYTHONPATH=str(Path(mesher.__file__).resolve().parents[1]))
         fresh = subprocess.run(
             [sys.executable, "-c",
-             "from steklov_annulus.fem import _folds, assemble;"
+             "from steklov_annulus.fem import _folds, _union_matrix, assemble;"
              " from steklov_annulus.geometry import INNER, OUTER, AnnularDomain, Circle;"
              " from steklov_annulus.mesher import build_annular_mesh;"
-             " s = assemble(build_annular_mesh(AnnularDomain("
+             " s = _union_matrix(*assemble(build_annular_mesh(AnnularDomain("
              "outer=Circle(radius=1.0, orientation=OUTER), inner=Circle(radius=0.3,"
-             " center=(0.25, 0.1), orientation=INNER)), 32, 4)).shifted;"
+             " center=(0.25, 0.1), orientation=INNER)), 32, 4)).parts);"
              " print(_folds(32, 4, False)[0].label.tolist()); print(s.row.tolist());"
              " print(s.col.tolist())"],
             env=env, capture_output=True, text=True, check=True, timeout=60).stdout
@@ -358,7 +361,7 @@ class TestEliminationOrder:
         matrix with int32 indices holding each (row, col) of the union
         stencil once: one entry per vertex and two per ring edge, radial
         edge and quad diagonal (both diagonals of every quad)."""
-        shifted = eccentric.shifted
+        shifted = shifted_matrix(eccentric)
         assert shifted.format == "coo"
         assert shifted.row.dtype == shifted.col.dtype == np.int32
         assert shifted.nnz == 5 * 32 + 2 * 32 * (4 * 4 + 1)
@@ -378,7 +381,7 @@ class TestEliminationOrder:
         ring-numbered matrix (about 1.47×: the price of a band solver with
         no ordering step)."""
         system = assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 64, 8))
-        n = system.shifted.shape[0]
+        n = len(system.mesh.vertices)
         kd = 2 * 8 + 3
 
         def fill(label, permc_spec):
@@ -421,7 +424,7 @@ class TestEliminationOrder:
         band would make f2py copy it inside dpbtrf or on every dtbsv sweep,
         and a reversal through a temporary would hold a second band."""
         system = assemble(build_annular_mesh(annulus(0.3, center=(0.25, 0.1)), 256, 24))
-        band_bytes = system.shifted.shape[0] * (2 * 24 + 3 + 1) * 8
+        band_bytes = len(system.mesh.vertices) * (2 * 24 + 3 + 1) * 8
         tracemalloc.start()
         try:
             eigs(system, 2)
@@ -480,10 +483,9 @@ class TestEliminationOrder:
         assert peak < 2.0 * half_band_bytes
 
     def test_solve_builds_no_sparse_matrix(self, monkeypatch):
-        """Neither route builds a scipy.sparse matrix: with coo_array,
-        `fem._union_matrix` and `fem._loop_matrix` refusing to run, a
-        mirrored and an off-axis mesh still solve, and to the same
-        eigenvalues."""
+        """Neither route builds a scipy.sparse matrix: with coo_array and
+        `fem._union_matrix` refusing to run, a mirrored and an off-axis mesh
+        still solve, and to the same eigenvalues."""
         domains = (annulus(0.3), annulus(0.3, center=(0.25, 0.1)))
         expected = [solve_domain(domain, 64, 8, count=3).eigenvalues for domain in domains]
 
@@ -492,10 +494,26 @@ class TestEliminationOrder:
 
         monkeypatch.setattr(sp, "coo_array", refuse)
         monkeypatch.setattr(fem, "_union_matrix", refuse)
-        monkeypatch.setattr(fem, "_loop_matrix", refuse)
         assert [build_annular_mesh(domain, 64, 8).mirrored for domain in domains] == [True, False]
         for domain, lams in zip(domains, expected):
             np.testing.assert_array_equal(solve_domain(domain, 64, 8, count=3).eigenvalues, lams)
+
+    def test_fd_oracle_builds_no_sparse_matrix(self, monkeypatch):
+        """The finite-difference oracle pairs its branches by the boundary
+        L² overlap without a scipy.sparse matrix: with coo_array and
+        `fem._union_matrix` refusing to run, a radial field on a concentric
+        32×4 annulus gives the same branch derivatives."""
+        field = PerturbationField(radial=1.0, target=INNER)
+        expected = fd_branch_oracle(annulus(0.3), field, 1e-3, n_theta=32, n_radial=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle built a sparse matrix")
+
+        monkeypatch.setattr(sp, "coo_array", refuse)
+        monkeypatch.setattr(fem, "_union_matrix", refuse)
+        result = fd_branch_oracle(annulus(0.3), field, 1e-3, n_theta=32, n_radial=4)
+        np.testing.assert_array_equal(result.eigenvalue_derivs, expected.eigenvalue_derivs)
+        np.testing.assert_array_equal(result.normalized_derivs, expected.normalized_derivs)
 
 
 class TestSolverFailure:
@@ -517,7 +535,7 @@ class TestSolverFailure:
     def test_nan_entry_raises(self, eccentric):
         """A NaN coupling does not stop dpbtrf, whose pivot test NaN
         passes, but it reaches the diagonal of the factor."""
-        shifted = eccentric.shifted
+        shifted = shifted_matrix(eccentric)
         data = eccentric.entries.copy()
         # the first entry past the diagonal is the radial edge from vertex 0
         # to vertex N_θ = 32, vertex 0 of ring 1; the matrix laid out from
